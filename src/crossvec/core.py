@@ -179,9 +179,6 @@ class CrossingThresholds:
         return self.ks[i]
 
 
-ThresholdsLike = "CrossingThresholds | int | Sequence[int]"
-
-
 def threshold_seq(ks, width: int) -> tuple[int, ...]:
     """Coerce an int, sequence, or CrossingThresholds to per-coordinate ints.
 

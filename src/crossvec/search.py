@@ -38,6 +38,20 @@ k-crossing against u[i] - v[i] = V >= k caps that at k - 1.  Hence all
 values are at most (w-1)(k-1) and ranked search over all rank slices of
 [0, (w-1)(k-1)]^w is exhaustive.
 
+Graph build.  Both edge predicates are functions of the difference
+d = q - p alone: p and q are 1-crossing iff d has a positive and a
+negative coordinate, and ks-crossing iff some d[i] >= ks[i] while some
+d[j] <= -ks[j].  So one boolean table T over the differences
+[-L_i, L_i] of a box with limits L holds every adjacency bit, and
+vertex p's row is the window T[L - p : 2L - p + 1]: read in
+lexicographic order, that window lists the bits for q = 0..L in vertex
+order.  The builder computes T once, copies the windows of a block of
+rows at a time (never an n x n matrix), keeps a rank slice's columns
+when it builds one slice, and packs each row into an int bitmask.  The
+table's prod(2 L_i + 1) bytes and the n^2/8 bytes of adjacency both
+count against the memory budget, and the deadline is checked between
+row blocks, so `time_limit` covers the build.
+
 Symmetry pruning.  The clique engine branches on the minimum vertex, so
 roots can soundly be restricted to vertices that can be the
 lexicographically least member of some normalized image of a maximum
@@ -49,12 +63,14 @@ of the lexicographically least image is a nondecreasing tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clique import max_clique, max_clique_parallel
 from .core import Family, Vector, threshold_seq, verify
@@ -62,6 +78,10 @@ from .core import Family, Vector, threshold_seq, verify
 
 class BoxTooLargeError(RuntimeError):
     """The requested box exceeds the adjacency-memory budget."""
+
+
+class BuildDeadlineError(RuntimeError):
+    """The compatibility-graph build ran past its deadline."""
 
 
 @dataclass(frozen=True)
@@ -153,8 +173,9 @@ def compression_box(k: int, w: int, m: int) -> SearchBox:
 
 @dataclass
 class CompatibilityGraph:
-    """Vertices are lattice points (lexicographic index order); adjacency
-    rows are int bitmasks over vertex indices."""
+    """Vertices are the lattice points of a box, or of one rank slice of
+    it, in lexicographic index order; adjacency rows are int bitmasks
+    over vertex indices."""
 
     ks: tuple[int, ...]
     box: SearchBox
@@ -169,42 +190,96 @@ class CompatibilityGraph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def _graph_from_points(seq, box: SearchBox, points) -> CompatibilityGraph:
-    coords = np.asarray(points, dtype=np.int32)
-    n = len(points)
-    if n == 0:
-        return CompatibilityGraph(seq, box, (), [])
-    ks_arr = np.asarray(seq, dtype=np.int32)
-    adj: list[int] = []
-    w = coords.shape[1]
-    block = max(1, 4_000_000 // max(1, n * w))
-    for i0 in range(0, n, block):
-        d = coords[i0 : i0 + block, None, :] - coords[None, :, :]
-        one = (d > 0).any(axis=2) & (d < 0).any(axis=2)
-        crossing = (d >= ks_arr).any(axis=2) & (d <= -ks_arr).any(axis=2)
-        packed = np.packbits(one & ~crossing, axis=1, bitorder="little")
-        for row in packed:
-            adj.append(int.from_bytes(row.tobytes(), "little"))
-    return CompatibilityGraph(seq, box, tuple(map(tuple, coords.tolist())), adj)
+# Template bytes copied per block of adjacency rows.
+_BLOCK_BYTES = 1 << 22
+
+# Per-coordinate code of a difference d: bit 0 d > 0, bit 1 d < 0,
+# bit 2 d >= k, bit 3 d <= -k.  OR-ed over the coordinates, the code
+# marks an edge iff it has both sign bits and not both threshold bits.
+_EDGE_CODE = np.array([c & 3 == 3 and c & 12 != 12 for c in range(16)])
+
+
+def _template(seq, box: SearchBox) -> np.ndarray:
+    """The edge table T over differences: T[d + L] for d in [-L, L]."""
+    codes = []
+    for k, side in zip(seq, box.limits):
+        d = np.arange(-side, side + 1)
+        code = (d > 0) | (d < 0) << 1 | (d >= k) << 2 | (d <= -k) << 3
+        codes.append(code.astype(np.uint8))
+    rest = functools.reduce(np.bitwise_or.outer, codes[1:], np.zeros((), np.uint8))
+    table = np.empty(tuple(2 * x + 1 for x in box.limits), dtype=bool)
+    for j, code in enumerate(codes[0]):  # a slab at a time bounds temporaries
+        table[j] = _EDGE_CODE[rest | code]
+    return table
+
+
+def _rank_table(box: SearchBox) -> np.ndarray:
+    return functools.reduce(np.add.outer, (np.arange(x + 1) for x in box.limits))
+
+
+def _check_memory(what: str, n: int, box: SearchBox, memory_mb: float) -> None:
+    table = 1
+    for x in box.limits:
+        table *= 2 * x + 1
+    est_mb = (n * n / 8 + table) / (1024 * 1024)
+    if est_mb > memory_mb:
+        raise BoxTooLargeError(
+            f"{what} has {n} lattice points; adjacency and difference table "
+            f"would need about {est_mb:.4g} MiB, over the {memory_mb:g} MiB budget"
+        )
 
 
 def build_compatibility_graph(
-    ks, box: SearchBox, memory_mb: float = 512.0
+    ks,
+    box: SearchBox,
+    memory_mb: float = 512.0,
+    rank: int | None = None,
+    template: np.ndarray | None = None,
+    deadline: float | None = None,
 ) -> CompatibilityGraph:
-    """Materialize the compatibility graph of a box.
+    """Materialize the compatibility graph of a box or of one rank slice.
+
+    With `rank` given, the vertices are the box points whose coordinates
+    sum to `rank`.  `template` is the box's difference table, computed
+    here when not given; a caller building several slices of one box
+    computes it once and passes it to each build.
 
     Raises BoxTooLargeError with a size estimate when the adjacency
-    bitmasks would exceed `memory_mb`.
+    bitmasks plus the table would exceed `memory_mb`, and
+    BuildDeadlineError when time.monotonic() passes `deadline` before a
+    block of rows is built.
     """
     seq = threshold_seq(ks, box.width)
-    n = box.size
-    est_mb = n * n / 8 / (1024 * 1024)
-    if est_mb > memory_mb:
-        raise BoxTooLargeError(
-            f"box {box} has {n} lattice points; adjacency would need about "
-            f"{est_mb:.0f} MiB, over the {memory_mb:.0f} MiB budget"
-        )
-    return _graph_from_points(seq, box, list(box.points()))
+    shape = tuple(x + 1 for x in box.limits)
+    if rank is None:
+        what = f"box {box}"
+        cols = None
+        flat = np.arange(box.size)
+    else:
+        what = f"rank-{rank} slice of box {box}"
+        cols = flat = np.flatnonzero(_rank_table(box) == rank)
+    n = len(flat)
+    _check_memory(what, n, box, memory_mb)
+    if template is None:
+        template = _template(seq, box)
+    coords = np.unravel_index(flat, shape)
+    # windows[p] is template[L - p : 2L - p + 1], p's row over the box.
+    windows = sliding_window_view(template, shape)[(slice(None, None, -1),) * len(shape)]
+    block = max(1, _BLOCK_BYTES // box.size)
+    adj: list[int] = []
+    for i0 in range(0, n, block):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BuildDeadlineError(
+                f"time limit reached while building the compatibility graph "
+                f"of the {what} ({i0} of {n} rows built)"
+            )
+        rows = windows[tuple(c[i0 : i0 + block] for c in coords)].reshape(-1, box.size)
+        if cols is not None:
+            rows = rows[:, cols]
+        for row in np.packbits(rows, axis=1, bitorder="little"):
+            adj.append(int.from_bytes(row.tobytes(), "little"))
+    vectors = tuple(zip(*(c.tolist() for c in coords)))
+    return CompatibilityGraph(seq, box, vectors, adj)
 
 
 def _roots(graph: CompatibilityGraph) -> list[int]:
@@ -299,6 +374,36 @@ def _witness_family(graph, members) -> Family:
     return Family(graph.box.width, [graph.vectors[i] for i in members])
 
 
+def _check_witness(witness: Family, seq, size: int) -> None:
+    # A raising check, not an assert: python -O must not let a wrong
+    # witness through.
+    if len(witness) != size or not verify(witness, seq).ok:
+        raise RuntimeError(
+            f"search produced a witness that is not a verifying family of "
+            f"size {size}: {list(witness.vectors)}"
+        )
+
+
+def _deadline(limits: SearchLimits, start: float) -> float | None:
+    return None if limits.time_limit is None else start + limits.time_limit
+
+
+def _unbuilt(box: SearchBox, start: float, exc: Exception, target=None) -> SearchResult:
+    # The graph could not be built within the limits: nothing was decided.
+    return SearchResult(
+        best_size=0,
+        witness=Family(box.width),
+        exhaustive=False,
+        nodes=0,
+        elapsed=time.monotonic() - start,
+        box=box,
+        target=target,
+        found=None if target is None else False,
+        truncated=True,
+        notes=(str(exc),),
+    )
+
+
 def exists_family(
     ks,
     w: int,
@@ -325,23 +430,14 @@ def exists_family(
         raise ValueError(f"box width {box.width} != {w}")
     start = time.monotonic()
     try:
-        graph = build_compatibility_graph(seq, box, limits.memory_mb)
-    except BoxTooLargeError as exc:
-        return SearchResult(
-            best_size=0,
-            witness=Family(w),
-            exhaustive=False,
-            nodes=0,
-            elapsed=time.monotonic() - start,
-            box=box,
-            target=m,
-            found=False,
-            truncated=True,
-            notes=(str(exc),),
+        graph = build_compatibility_graph(
+            seq, box, limits.memory_mb, deadline=_deadline(limits, start)
         )
-    res = _clique_run(graph, 0, m, limits, workers)
+    except (BoxTooLargeError, BuildDeadlineError) as exc:
+        return _unbuilt(box, start, exc, target=m)
+    res = _clique_run(graph, 0, m, _remaining(limits, start, 0), workers)
     witness = _witness_family(graph, res.members)
-    assert verify(witness, seq).ok
+    _check_witness(witness, seq, res.size)
     found = res.size >= m
     if found:
         exhaustive = True
@@ -383,21 +479,14 @@ def max_family_in_box(
     limits = limits or SearchLimits()
     start = time.monotonic()
     try:
-        graph = build_compatibility_graph(seq, box, limits.memory_mb)
-    except BoxTooLargeError as exc:
-        return SearchResult(
-            best_size=0,
-            witness=Family(box.width),
-            exhaustive=False,
-            nodes=0,
-            elapsed=time.monotonic() - start,
-            box=box,
-            truncated=True,
-            notes=(str(exc),),
+        graph = build_compatibility_graph(
+            seq, box, limits.memory_mb, deadline=_deadline(limits, start)
         )
-    res = _clique_run(graph, 0, None, limits, workers)
+    except (BoxTooLargeError, BuildDeadlineError) as exc:
+        return _unbuilt(box, start, exc)
+    res = _clique_run(graph, 0, None, _remaining(limits, start, 0), workers)
     witness = _witness_family(graph, res.members)
-    assert verify(witness, seq).ok
+    _check_witness(witness, seq, res.size)
     exhaustive = (
         not res.truncated
         and box.complete_for is not None
@@ -476,7 +565,10 @@ def max_family_size(
             best = res.best_size
             witness = res.witness
             m = best + 1
-            assert best <= upper, "search exceeded the proven upper bound"
+            if best > upper:
+                raise RuntimeError(
+                    f"search found size {best}, above the proven upper bound {upper}"
+                )
             continue
         elapsed = time.monotonic() - start
         if res.exhaustive:
@@ -513,7 +605,10 @@ def ranked_max_family_size(
     Searches every rank slice of [0, (w-1)(k-1)]^w, which is complete
     for constant-rank families by the translation argument in the module
     docstring.  The certified value equals k^(w-1) wherever the search
-    completes.
+    completes.  The box's difference table and its largest slice's
+    adjacency are charged against `memory_mb` before any slice is built;
+    going over, or running out of time while building a slice, returns a
+    truncated result whose note is the build's error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -527,33 +622,45 @@ def ranked_max_family_size(
     )
     seq = (k,) * w
     start = time.monotonic()
+    deadline = _deadline(limits, start)
     best = 0
     witness = Family(w)
     nodes = 0
     truncated = False
-    points_by_rank: dict[int, list[Vector]] = {}
-    for p in box.points():
-        points_by_rank.setdefault(sum(p), []).append(p)
-    for level in sorted(points_by_rank):
-        pts = points_by_rank[level]
-        if len(pts) <= best:
-            continue
-        graph = _graph_from_points(seq, box, pts)
-        rem = _remaining(limits, start, nodes)
-        res = _clique_run(graph, best, None, rem, workers)
-        nodes += res.nodes
-        if res.truncated:
-            truncated = True
-        if res.size > best and res.members:
-            best = res.size
-            witness = _witness_family(graph, res.members)
-    assert len(witness) == best and verify(witness, k).ok
-    note = (
-        f"certified maximum constant-rank family size {best} (box {box}, all "
-        f"rank slices 0..{w * side})"
-        if not truncated
-        else f"best found {best}; truncated"
-    )
+    build_error = None
+    sizes = np.bincount(_rank_table(box).ravel())
+    try:
+        _check_memory(
+            f"largest rank slice of box {box}", int(sizes.max()), box, limits.memory_mb
+        )
+        template = _template(seq, box)
+        for level, size in enumerate(sizes.tolist()):
+            if size <= best:
+                continue
+            graph = build_compatibility_graph(
+                seq, box, limits.memory_mb, level, template, deadline
+            )
+            rem = _remaining(limits, start, nodes)
+            res = _clique_run(graph, best, None, rem, workers)
+            nodes += res.nodes
+            if res.truncated:
+                truncated = True
+            if res.size > best and res.members:
+                best = res.size
+                witness = _witness_family(graph, res.members)
+    except (BoxTooLargeError, BuildDeadlineError) as exc:
+        truncated = True
+        build_error = str(exc)
+    _check_witness(witness, seq, best)
+    if build_error is not None:
+        note = build_error
+    elif truncated:
+        note = f"best found {best}; truncated"
+    else:
+        note = (
+            f"certified maximum constant-rank family size {best} (box {box}, all "
+            f"rank slices 0..{w * side})"
+        )
     return SearchResult(
         best_size=best,
         witness=witness,

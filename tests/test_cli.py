@@ -146,13 +146,14 @@ class TestSearchCommand:
         assert records(out)["truncated"] == "yes"
 
     def test_memory_guard_truncates(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "search", "--k", "2", "--w", "2", "--target", "60",
-            "--memory-mb", "0.1", "--format", "records",
-        )
-        assert code == 3
-        assert records(out)["truncated"] == "yes"
-        assert "note:" in out
+        for argv in (
+            ("--k", "2", "--w", "2", "--target", "60", "--memory-mb", "0.1"),
+            ("--k", "2", "--w", "4", "--ranked", "--memory-mb", "0.0001"),
+        ):
+            code, out, _ = run_cli(capsys, "search", *argv, "--format", "records")
+            assert code == 3
+            assert records(out)["truncated"] == "yes"
+            assert "note:" in out
 
     def test_deterministic_is_byte_identical(self, capsys):
         argv = (

@@ -1,6 +1,7 @@
 """Normalization, search boxes, exact search, digraph and compression."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,10 @@ from crossvec import (
 )
 from crossvec.clique import max_clique
 
+import crossvec.search as search_mod
+
 from helpers import (
+    box_points,
     brute_max_family,
     pair_relation,
     random_verified_family,
@@ -104,22 +108,27 @@ class TestBoxes:
 
 class TestCompatibilityGraph:
     def test_small_grid_against_oracle(self):
-        box = SearchBox((2, 2))
-        g = build_compatibility_graph(2, box)
-        assert g.n == 9
-        pts = g.vectors
-        expect = sum(
-            1
-            for i in range(9)
-            for j in range(i + 1, 9)
-            if pair_relation(pts[i], pts[j], (2, 2)) == "free"
-        )
-        assert g.edge_count() == expect
-        # adjacency is symmetric and irreflexive
-        for i in range(g.n):
-            assert not g.adj[i] >> i & 1
-            for j in range(g.n):
-                assert (g.adj[i] >> j & 1) == (g.adj[j] >> i & 1)
+        # (ks, box limits, rank slice or None for the whole box)
+        for ks, limits, rank in (
+            ((2, 2), (2, 2), None),
+            ((2, 2, 2), (3, 1, 2), None),
+            ((1, 2, 3), (3, 3, 3), None),
+            ((2, 2, 2, 2), (2, 2, 2, 2), None),
+            ((3, 3, 3), (4, 4, 4), 6),
+        ):
+            g = build_compatibility_graph(ks, SearchBox(limits), rank=rank)
+            pts = [p for p in box_points(limits) if rank is None or sum(p) == rank]
+            assert g.vectors == tuple(pts)
+            free = 0
+            for i in range(g.n):
+                assert not g.adj[i] >> i & 1
+                for j in range(i + 1, g.n):
+                    bit = g.adj[i] >> j & 1
+                    assert bit == (g.adj[j] >> i & 1)
+                    assert bit == (pair_relation(pts[i], pts[j], ks) == "free")
+                    free += bit
+            assert g.edge_count() == free
+        g = build_compatibility_graph(2, SearchBox((2, 2)))
         assert max_clique(g.adj, g.n).size == 2
 
     def test_memory_guard(self):
@@ -165,6 +174,24 @@ class TestExistsFamily:
         assert res.truncated and not res.exhaustive
         assert res.best_size == 0
         assert any("box" in note for note in res.notes)
+
+    def test_time_limit_covers_graph_build(self):
+        # the auto box [0,27]^3 takes far longer than the limit to build
+        limit = 0.05
+        res = exists_family(3, 3, 10, limits=SearchLimits(time_limit=limit))
+        assert res.truncated and not res.exhaustive and not res.found
+        assert res.elapsed <= limit + 0.3
+        assert any("building the compatibility graph" in n for n in res.notes)
+
+    def test_failing_witness_check_raises(self, monkeypatch):
+        bad = SimpleNamespace(ok=False)
+        monkeypatch.setattr(search_mod, "verify", lambda *a, **kw: bad)
+        with pytest.raises(RuntimeError):
+            exists_family(2, 2, 2)
+        with pytest.raises(RuntimeError):
+            max_family_in_box(2, SearchBox((2, 2)))
+        with pytest.raises(RuntimeError):
+            ranked_max_family_size(2, 3)
 
 
 class TestMaxFamily:
@@ -213,6 +240,16 @@ class TestRankedSearch:
     def test_box_is_rank_spread(self):
         res = ranked_max_family_size(2, 3)
         assert res.box.limits == (2, 2, 2)  # (w-1)(k-1) = 2
+
+    def test_memory_budget_covers_slices(self):
+        res = ranked_max_family_size(2, 4, SearchLimits(memory_mb=1e-4))
+        assert res.truncated and not res.exhaustive
+        assert res.best_size == 0
+        (note,) = res.notes
+        assert "largest rank slice of box [0,3]^4" in note
+        assert "over the 0.0001 MiB budget" in note
+        with pytest.raises(BoxTooLargeError):
+            build_compatibility_graph(2, res.box, memory_mb=1e-4, rank=6)
 
 
 class TestCrossDigraph:

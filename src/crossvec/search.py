@@ -45,10 +45,12 @@ d[j] <= -ks[j].  So one boolean table T over the differences
 [-L_i, L_i] of a box with limits L holds every adjacency bit, and
 vertex p's row is the window T[L - p : 2L - p + 1]: read in
 lexicographic order, that window lists the bits for q = 0..L in vertex
-order.  The builder computes T once, copies the windows of a block of
-rows at a time (never an n x n matrix), keeps a rank slice's columns
-when it builds one slice, and packs each row into an int bitmask.  The
-table's prod(2 L_i + 1) bytes and the n^2/8 bytes of adjacency both
+order.  The builder computes T once per graph and copies the windows
+of a block of rows at a time (never an n x n matrix).  A rank slice
+keeps a small part of each window, so its rows are read straight from
+the flattened table at index base(p) + offset(q) for the slice's q,
+never through a full box row.  Each row is packed into an int bitmask.
+The table's prod(2 L_i + 1) bytes and the n^2/8 bytes of adjacency both
 count against the memory budget, and the deadline is checked between
 row blocks, so `time_limit` covers the build.
 
@@ -234,18 +236,15 @@ def build_compatibility_graph(
     box: SearchBox,
     memory_mb: float = 512.0,
     rank: int | None = None,
-    template: np.ndarray | None = None,
     deadline: float | None = None,
 ) -> CompatibilityGraph:
     """Materialize the compatibility graph of a box or of one rank slice.
 
     With `rank` given, the vertices are the box points whose coordinates
-    sum to `rank`.  `template` is the box's difference table, computed
-    here when not given; a caller building several slices of one box
-    computes it once and passes it to each build.
+    sum to `rank`.
 
     Raises BoxTooLargeError with a size estimate when the adjacency
-    bitmasks plus the table would exceed `memory_mb`, and
+    bitmasks plus the difference table would exceed `memory_mb`, and
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """
@@ -253,19 +252,28 @@ def build_compatibility_graph(
     shape = tuple(x + 1 for x in box.limits)
     if rank is None:
         what = f"box {box}"
-        cols = None
         flat = np.arange(box.size)
     else:
         what = f"rank-{rank} slice of box {box}"
-        cols = flat = np.flatnonzero(_rank_table(box) == rank)
+        flat = np.flatnonzero(_rank_table(box) == rank)
     n = len(flat)
     _check_memory(what, n, box, memory_mb)
-    if template is None:
-        template = _template(seq, box)
+    template = _template(seq, box)
     coords = np.unravel_index(flat, shape)
-    # windows[p] is template[L - p : 2L - p + 1], p's row over the box.
-    windows = sliding_window_view(template, shape)[(slice(None, None, -1),) * len(shape)]
-    block = max(1, _BLOCK_BYTES // box.size)
+    if rank is None:
+        # windows[p] is template[L - p : 2L - p + 1], p's row over the box.
+        windows = sliding_window_view(template, shape)[(slice(None, None, -1),) * len(shape)]
+        block = max(1, _BLOCK_BYTES // n)
+    else:
+        # A slice keeps a small part of each box row, so read its bits
+        # straight from the table: T[q - p + L] at base(p) + offset(q).
+        tshape = template.shape
+        offsets = np.ravel_multi_index(coords, tshape)
+        bases = np.ravel_multi_index(
+            tuple(x - c for x, c in zip(box.limits, coords)), tshape
+        )
+        cells = template.ravel()
+        block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     adj: list[int] = []
     for i0 in range(0, n, block):
         if deadline is not None and time.monotonic() > deadline:
@@ -273,9 +281,10 @@ def build_compatibility_graph(
                 f"time limit reached while building the compatibility graph "
                 f"of the {what} ({i0} of {n} rows built)"
             )
-        rows = windows[tuple(c[i0 : i0 + block] for c in coords)].reshape(-1, box.size)
-        if cols is not None:
-            rows = rows[:, cols]
+        if rank is None:
+            rows = windows[tuple(c[i0 : i0 + block] for c in coords)].reshape(-1, n)
+        else:
+            rows = cells[bases[i0 : i0 + block, None] + offsets]
         for row in np.packbits(rows, axis=1, bitorder="little"):
             adj.append(int.from_bytes(row.tobytes(), "little"))
     vectors = tuple(zip(*(c.tolist() for c in coords)))
@@ -633,12 +642,11 @@ def ranked_max_family_size(
         _check_memory(
             f"largest rank slice of box {box}", int(sizes.max()), box, limits.memory_mb
         )
-        template = _template(seq, box)
         for level, size in enumerate(sizes.tolist()):
             if size <= best:
                 continue
             graph = build_compatibility_graph(
-                seq, box, limits.memory_mb, level, template, deadline
+                seq, box, limits.memory_mb, level, deadline
             )
             rem = _remaining(limits, start, nodes)
             res = _clique_run(graph, best, None, rem, workers)

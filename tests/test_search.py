@@ -115,6 +115,7 @@ class TestCompatibilityGraph:
             ((1, 2, 3), (3, 3, 3), None),
             ((2, 2, 2, 2), (2, 2, 2, 2), None),
             ((3, 3, 3), (4, 4, 4), 6),
+            ((1, 2, 3), (4, 2, 3), 4),
         ):
             g = build_compatibility_graph(ks, SearchBox(limits), rank=rank)
             pts = [p for p in box_points(limits) if rank is None or sum(p) == rank]
@@ -182,6 +183,13 @@ class TestExistsFamily:
         assert res.truncated and not res.exhaustive and not res.found
         assert res.elapsed <= limit + 0.3
         assert any("building the compatibility graph" in n for n in res.notes)
+        res = max_family_in_box(
+            3, SearchBox((27, 27, 27)), limits=SearchLimits(time_limit=limit)
+        )
+        assert res.truncated and not res.exhaustive
+        assert res.best_size == 0
+        assert res.elapsed <= limit + 0.3
+        assert any("building the compatibility graph" in n for n in res.notes)
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -240,6 +248,16 @@ class TestRankedSearch:
     def test_box_is_rank_spread(self):
         res = ranked_max_family_size(2, 3)
         assert res.box.limits == (2, 2, 2)  # (w-1)(k-1) = 2
+
+    def test_time_limit_covers_slice_builds(self):
+        # (2,6) has 31 rank slices and takes far longer than the limit
+        limit = 0.01
+        res = ranked_max_family_size(2, 6, SearchLimits(time_limit=limit))
+        assert res.truncated and not res.exhaustive
+        assert res.elapsed <= limit + 0.3
+        (note,) = res.notes
+        assert "building the compatibility graph" in note
+        assert verify(res.witness, 2).ok and len(res.witness) == res.best_size
 
     def test_memory_budget_covers_slices(self):
         res = ranked_max_family_size(2, 4, SearchLimits(memory_mb=1e-4))

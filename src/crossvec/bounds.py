@@ -117,8 +117,16 @@ class BoundsReport:
     ks: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        assert self.lower <= self.conjectured <= self.upper
-        assert self.upper == min(v for _, v in self.candidates)
+        if not self.lower <= self.conjectured <= self.upper:
+            raise ValueError(
+                f"bounds out of order: lower {self.lower}, conjectured "
+                f"{self.conjectured}, upper {self.upper}"
+            )
+        if not self.candidates or self.upper != min(v for _, v in self.candidates):
+            raise ValueError(
+                f"upper {self.upper} is not the minimum over the candidates "
+                f"{self.candidates}"
+            )
 
 
 def best_upper_bound(k: int, w: int, trust_exact: bool = True) -> BoundsReport:

@@ -12,6 +12,15 @@ caller may therefore restrict the roots to any set R that is guaranteed
 to contain the smallest vertex of at least one maximum clique image
 under symmetries of the graph; the search stays exact.
 
+A caller may also pass `covers`, a sequence of vertex bitmasks: then
+only cliques that meet every mask are recorded, and the result is the
+largest such clique (size 0, or `initial`, when none exists).  The
+search keeps the masks the current clique does not meet yet and cuts a
+branch as soon as one of them is disjoint from the candidate set, since
+no extension could then meet it.  Removing vertex v from the candidates
+can only empty masks that contain v, so the branching loop re-checks
+just those.
+
 Workers > 1 splits the roots round-robin across processes.  Each worker
 finishes its share, so sizes are schedule-independent; the merged
 witness is the lexicographically least among the best found.
@@ -41,8 +50,21 @@ class CliqueResult:
     truncated: bool
 
 
+class _CoverSets(dict):
+    """Bit set of cover indices -> the tuple of those cover masks."""
+
+    def __init__(self, covers: tuple[int, ...]):
+        super().__init__()
+        self.covers = covers
+
+    def __missing__(self, bits):
+        masks = tuple(m for j, m in enumerate(self.covers) if bits >> j & 1)
+        self[bits] = masks
+        return masks
+
+
 class _Search:
-    def __init__(self, adj, n, node_limit, deadline):
+    def __init__(self, adj, n, covers, node_limit, deadline):
         self.adj = adj
         self.n = n
         self.node_limit = node_limit
@@ -52,6 +74,19 @@ class _Search:
         self.best: tuple[int, ...] = ()
         self.stack: list[int] = []
         self.stop_at: int | None = None
+        covers = tuple(covers)
+        self.all_covers = (1 << len(covers)) - 1
+        self.cover_sets = _CoverSets(covers)
+        # member[v] has bit j set iff vertex v lies in covers[j].
+        self.member = [0] * n
+        for j, mask in enumerate(covers):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"cover mask {j} has bits outside vertices 0..{n - 1}")
+            bits = bin(mask)[:1:-1]  # bits[v] == "1" iff v is in the mask
+            v = bits.find("1")
+            while v >= 0:
+                self.member[v] |= 1 << j
+                v = bits.find("1", v + 1)
 
     def _tick(self):
         self.nodes += 1
@@ -87,22 +122,35 @@ class _Search:
                 colors.append(color)
         return order, colors
 
-    def _expand(self, depth, cand):
+    def _expand(self, depth, cand, pend):
+        # Invariant: every cover in the bit set `pend` (those the stack
+        # does not meet yet) meets cand.
         self._tick()
         adj = self.adj
+        member = self.member
+        cover_sets = self.cover_sets
         order, colors = self._color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= self.best_size:
                 return
             v = order[idx]
             new_cand = cand & adj[v]
+            rest = pend & ~member[v]
             self.stack.append(v)
             if new_cand:
-                self._expand(depth + 1, new_cand)
-            elif depth + 1 > self.best_size:
+                for m in cover_sets[rest]:
+                    if not m & new_cand:
+                        break
+                else:
+                    self._expand(depth + 1, new_cand, rest)
+            elif not rest and depth + 1 > self.best_size:
                 self._record(depth + 1)
             self.stack.pop()
             cand &= ~(1 << v)
+            # Only the pending covers that contain v can have emptied.
+            for m in cover_sets[pend & member[v]]:
+                if not m & cand:
+                    return
 
     def run(self, roots, initial, stop_at):
         self.best_size = initial
@@ -117,9 +165,12 @@ class _Search:
                 cand = self.adj[i] & later
                 if 1 + cand.bit_count() <= self.best_size:
                     continue
+                pend = self.all_covers & ~self.member[i]
+                if not all(m & cand for m in self.cover_sets[pend]):
+                    continue
                 self.stack.append(i)
                 if cand:
-                    self._expand(1, cand)
+                    self._expand(1, cand, pend)
                 elif self.best_size < 1:
                     self._record(1)
                 self.stack.pop()
@@ -144,24 +195,27 @@ def max_clique(
     stop_at: int | None = None,
     node_limit: int | None = None,
     time_limit: float | None = None,
+    covers: Sequence[int] = (),
 ) -> CliqueResult:
     """Exact maximum clique, optionally stopping once `stop_at` is hit.
 
     `initial` is an incumbent size: only cliques strictly larger are
     recorded, so a result with size == initial has empty members (no
-    improvement found).  `roots` restricts top-level branching as
-    described in the module docstring; None means all vertices.
+    improvement found).  `roots` restricts top-level branching and
+    `covers` restricts the recorded cliques to those meeting every
+    mask, both as described in the module docstring; None and () mean
+    no restriction.  A cover mask with a bit outside 0..n-1 raises
+    ValueError.
     """
     if roots is None:
         roots = range(n)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(adj, n, node_limit, deadline)
+    search = _Search(adj, n, covers, node_limit, deadline)
     return search.run(list(roots), initial, stop_at)
 
 
 def _worker(args):
-    adj, n, roots, initial, stop_at, node_limit, time_limit = args
-    return max_clique(adj, n, roots, initial, stop_at, node_limit, time_limit)
+    return max_clique(*args)
 
 
 def max_clique_parallel(
@@ -173,14 +227,16 @@ def max_clique_parallel(
     node_limit: int | None = None,
     time_limit: float | None = None,
     workers: int = 1,
+    covers: Sequence[int] = (),
 ) -> CliqueResult:
     """Split roots across processes; exact results merge deterministically."""
     root_list = list(range(n) if roots is None else roots)
+    args = (initial, stop_at, node_limit, time_limit, tuple(covers))
     if workers <= 1 or len(root_list) <= 1:
-        return max_clique(adj, n, root_list, initial, stop_at, node_limit, time_limit)
+        return max_clique(adj, n, root_list, *args)
     chunks = [root_list[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
-    jobs = [(list(adj), n, c, initial, stop_at, node_limit, time_limit) for c in chunks]
+    jobs = [(list(adj), n, c, *args) for c in chunks]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(pool.map(_worker, jobs))
     best_size = max(r.size for r in results)

@@ -406,7 +406,11 @@ def dual_orders_check(family: Family, fixed: Iterable[int] = ()) -> list[Vector]
     j0, j1 = free
     vs.sort(key=lambda v: v[j0])
     # Forced by incomparability once the fixed coordinates agree.
-    assert all(a[j0] < b[j0] and a[j1] > b[j1] for a, b in zip(vs, vs[1:]))
+    for a, b in zip(vs, vs[1:]):
+        if not (a[j0] < b[j0] and a[j1] > b[j1]):
+            raise RuntimeError(
+                f"{a} and {b} are not in dual orders on the free coordinates"
+            )
     return vs
 
 

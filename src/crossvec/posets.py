@@ -278,10 +278,16 @@ def _width_from_leq(leq: Sequence[int], n: int):
                 seen_l[i2] = True
                 stack.append(i2)
     antichain = tuple(i for i in range(n) if seen_l[i] and not seen_r[i])
-    assert len(antichain) == width
+    if len(antichain) != width:
+        raise RuntimeError(
+            f"Koenig antichain has {len(antichain)} elements, width is {width}"
+        )
     for a in antichain:
         for b in antichain:
-            assert a == b or not leq[a] >> b & 1
+            if a != b and leq[a] >> b & 1:
+                raise RuntimeError(
+                    f"Koenig antichain holds comparable elements {a} and {b}"
+                )
 
     heads = [i for i in range(n) if match_r[i] < 0]
     chains = []
@@ -291,7 +297,10 @@ def _width_from_leq(leq: Sequence[int], n: int):
             cur = match_l[cur]
             members.append(cur)
         chains.append(tuple(members))
-    assert len(chains) == width and sum(len(c) for c in chains) == n
+    if len(chains) != width or sum(len(c) for c in chains) != n:
+        raise RuntimeError(
+            f"chain cover {chains} is not {width} chains partitioning {n} elements"
+        )
     return width, antichain, tuple(chains)
 
 

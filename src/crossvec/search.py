@@ -61,12 +61,30 @@ family: normalization gives every coordinate minimum 0, so the least
 member has first coordinate 0; and for a uniform threshold on a cubical
 box, permuting coordinates is a graph automorphism, so the least member
 of the lexicographically least image is a nondecreasing tuple.
+
+Zero covers.  Every search box has lower limit 0 on each coordinate, so
+subtracting each coordinate's minimum maps a family in the box to one
+still in the box that takes the value 0 on every coordinate; it has the
+same size and, since both edge predicates depend only on differences,
+it is again a clique.  The clique engine is therefore given one cover
+per coordinate, the vertices at 0 there, and searches only cliques that
+meet all of them, cutting a branch once some cover it does not meet yet
+has no vertex left among the candidates.  This composes with the root
+restriction: translate first, then permute the coordinates; a
+permutation keeps "0 on every coordinate", so the argument above still
+finds a maximum covering clique whose least member is a root.  In a
+ranked search, translating a family of rank slice r lands it in a slice
+r' <= r (rank drops by the sum of the minima).  Slices are searched in
+increasing rank, and a slice is skipped only when it has no more points
+than the incumbent, so every family larger than the incumbent has an
+equally large covering copy in a slice that was searched.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -74,7 +92,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clique import max_clique, max_clique_parallel
+# max_clique is unused here but stays importable: perfbench wraps both.
+from .clique import max_clique, max_clique_parallel  # noqa: F401
 from .core import Family, Vector, threshold_seq, verify
 
 
@@ -127,10 +146,7 @@ class SearchBox:
 
     @property
     def size(self) -> int:
-        n = 1
-        for x in self.limits:
-            n *= x + 1
-        return n
+        return math.prod(x + 1 for x in self.limits)
 
     def points(self) -> Iterable[Vector]:
         return itertools.product(*(range(x + 1) for x in self.limits))
@@ -220,9 +236,7 @@ def _rank_table(box: SearchBox) -> np.ndarray:
 
 
 def _check_memory(what: str, n: int, box: SearchBox, memory_mb: float) -> None:
-    table = 1
-    for x in box.limits:
-        table *= 2 * x + 1
+    table = math.prod(2 * x + 1 for x in box.limits)
     est_mb = (n * n / 8 + table) / (1024 * 1024)
     if est_mb > memory_mb:
         raise BoxTooLargeError(
@@ -362,20 +376,21 @@ def normalize(family: Family, ks) -> Family:
 
 
 def _clique_run(graph, initial, stop_at, limits: SearchLimits, workers: int):
-    roots = _roots(graph)
-    if workers > 1:
-        return max_clique_parallel(
-            graph.adj,
-            graph.n,
-            roots,
-            initial,
-            stop_at,
-            limits.node_limit,
-            limits.time_limit,
-            workers=workers,
-        )
-    return max_clique(
-        graph.adj, graph.n, roots, initial, stop_at, limits.node_limit, limits.time_limit
+    # Zero covers (module docstring): per coordinate, the vertices at 0.
+    covers = [
+        sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
+        for j in range(graph.box.width)
+    ]
+    return max_clique_parallel(
+        graph.adj,
+        graph.n,
+        _roots(graph),
+        initial,
+        stop_at,
+        limits.node_limit,
+        limits.time_limit,
+        workers,
+        covers,
     )
 
 
@@ -547,12 +562,13 @@ def _remaining(limits: SearchLimits, start: float, nodes_used: int) -> SearchLim
 def max_family_size(
     ks, w: int, limits: SearchLimits | None = None, workers: int = 1
 ) -> SearchResult:
-    """Certify the maximum family size by growing auto boxes.
+    """Certify the maximum family size by growing complete boxes.
 
     Seeds from the product construction, then asks exists_family for
-    one more vector over the auto-derived complete box until a target is
-    refuted (certified answer) or a resource cap bites (the best-so-far
-    is returned with exhaustive=False).
+    one more vector over a complete box until a target is refuted
+    (certified answer) or a resource cap bites (the best-so-far is
+    returned with exhaustive=False).  The box is the compression box
+    [0, m-1]^w for a uniform threshold and the auto box otherwise.
     """
     seq = threshold_seq(ks, w)
     limits = limits or SearchLimits()
@@ -560,15 +576,12 @@ def max_family_size(
     seed = _seed_family(seq)
     witness = normalize(seed, seq)
     best = len(witness)
-    upper = 1
-    for ki in seq:
-        upper *= ki
+    upper = math.prod(seq)
     nodes = 0
     m = best + 1
     while True:
-        res = exists_family(
-            seq, w, m, limits=_remaining(limits, start, nodes), workers=workers
-        )
+        box = compression_box(seq[0], w, m) if len(set(seq)) == 1 else None
+        res = exists_family(seq, w, m, box, _remaining(limits, start, nodes), workers)
         nodes += res.nodes
         if res.found:
             best = res.best_size
@@ -805,9 +818,11 @@ def compress(family: Family, k: int, coord: int) -> Family:
                         moving.add(u)
                         nxt.append(u)
             frontier = nxt
-        assert all(v[c] >= 1 for v in moving)
+        if any(v[c] < 1 for v in moving):
+            raise RuntimeError(f"compression would move {sorted(moving)} below 0")
         vectors = [
             v[:c] + (v[c] - 1,) + v[c + 1 :] if v in moving else v for v in vectors
         ]
-        assert len(set(vectors)) == len(vectors)
+        if len(set(vectors)) != len(vectors):
+            raise RuntimeError(f"compression merged two vectors on coordinate {coord}")
     return Family(family.width, vectors)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from crossvec import (
+    BoundsReport,
     Family,
     best_upper_bound,
     ceiling_upper_bound,
@@ -100,6 +101,14 @@ class TestBestUpperBound:
                 assert rep.upper == min(v for _, v in rep.candidates)
                 assert rep.k == k and rep.ks is None
                 assert rep.exact == (w <= 3 or k == 1)
+
+    def test_report_rejects_broken_invariants(self):
+        ok = dict(w=4, lower=8, conjectured=8, upper=12, candidates=(("a", 12),),
+                  exact=False, k=2)
+        BoundsReport(**ok)
+        for bad in (dict(lower=13), dict(conjectured=13), dict(upper=15)):
+            with pytest.raises(ValueError):
+                BoundsReport(**{**ok, **bad})
 
     def test_untrusted_variant(self):
         rep = best_upper_bound(2, 4, trust_exact=False)

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from crossvec.clique import max_clique, max_clique_parallel
 
 
@@ -24,6 +26,32 @@ def brute_max_clique(n, adj):
             if all(adj[a] >> b & 1 for a, b in itertools.combinations(combo, 2)):
                 return size, combo
     return best, witness
+
+
+def brute_max_covering_clique(n, adj, covers):
+    """Size of the largest clique that meets every cover mask."""
+    # is_clique[s] for every vertex subset s, built from s minus its
+    # lowest vertex.
+    is_clique = [True] * (1 << n)
+    best = 0
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        v = low.bit_length() - 1
+        is_clique[s] = is_clique[rest] and adj[v] & rest == rest
+        if is_clique[s] and all(s & m for m in covers):
+            best = max(best, s.bit_count())
+    return best
+
+
+def random_instance(rng, max_n=14):
+    n = rng.randrange(1, max_n + 1)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    covers = []
+    for _ in range(rng.randrange(0, 4)):
+        density = rng.choice((0.1, 0.3, 0.6))
+        covers.append(sum(1 << v for v in range(n) if rng.random() < density))
+    return n, adj_from_edges(n, edges), covers
 
 
 class TestExactness:
@@ -68,6 +96,46 @@ class TestExactness:
             assert all(
                 adj[a] >> b & 1 for a, b in itertools.combinations(ms, 2)
             )
+
+
+class TestCovers:
+    def test_random_graphs_match_brute_force(self):
+        rng = random.Random(2718)
+        empty = 0
+        for _ in range(80):
+            n, adj, covers = random_instance(rng)
+            expect = brute_max_covering_clique(n, adj, covers)
+            res = max_clique(adj, n, covers=covers)
+            assert res.size == expect, (n, adj, covers)
+            assert not res.truncated
+            ms = res.members
+            assert len(ms) == res.size
+            assert all(adj[a] >> b & 1 for a, b in itertools.combinations(ms, 2))
+            if ms:
+                assert all(any(m >> v & 1 for v in ms) for m in covers)
+            empty += expect == 0
+        # the loop also covers instances with no covering clique at all
+        assert 0 < empty < 80
+
+    def test_no_covers_is_plain_search(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            n, adj, _ = random_instance(rng)
+            assert max_clique(adj, n, covers=()) == max_clique(adj, n)
+
+    def test_serial_and_parallel_agree(self):
+        rng = random.Random(577)
+        for _ in range(6):
+            n, adj, covers = random_instance(rng, max_n=18)
+            serial = max_clique_parallel(adj, n, covers=covers, workers=1)
+            par = max_clique_parallel(adj, n, covers=covers, workers=2)
+            assert par.size == serial.size
+            assert par.members == serial.members
+            assert not par.truncated
+
+    def test_mask_outside_vertices_rejected(self):
+        with pytest.raises(ValueError):
+            max_clique([0, 0], 2, covers=[0b100])
 
 
 class TestControls:

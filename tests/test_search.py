@@ -191,6 +191,13 @@ class TestExistsFamily:
         assert res.elapsed <= limit + 0.3
         assert any("building the compatibility graph" in n for n in res.notes)
 
+    def test_zero_cover_prunes_f33_refutation(self):
+        # Without the zero-cover cut this refutation takes 399,547 nodes.
+        res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
+        assert res.found is False and res.exhaustive and not res.truncated
+        assert res.best_size == 9
+        assert res.nodes < 150_000
+
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
         monkeypatch.setattr(search_mod, "verify", lambda *a, **kw: bad)
@@ -210,6 +217,14 @@ class TestMaxFamily:
             assert res.exhaustive and not res.truncated
             assert verify(res.witness, k).ok
             assert len(res.witness) == expect
+
+    def test_uniform_threshold_searches_compression_box(self):
+        res = max_family_size(3, 3)
+        assert res.best_size == 9
+        assert res.exhaustive and not res.truncated
+        assert str(res.box) == "[0,9]^3"
+        assert res.box.derivation.startswith("compression-complete")
+        assert verify(res.witness, 3).ok and len(res.witness) == 9
 
     def test_box_results_match_brute_force(self):
         for seq, limits in (

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import constructions as cons
 from .core import (
     Family,
     ParseError,
-    family_from_text,
     family_to_text,
+    load_family,
+    save_family,
     verify,
 )
 from .posets import (
@@ -55,30 +55,6 @@ EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus the shared knobs."""
-
-    subcommand: str
-    format: str
-    deterministic: bool
-    workers: int
-    args: argparse.Namespace
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        workers = getattr(args, "workers", 1)
-        if args.deterministic:
-            workers = 1
-        return cls(
-            subcommand=args.subcommand,
-            format=args.format,
-            deterministic=args.deterministic,
-            workers=workers,
-            args=args,
-        )
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         vals = tuple(int(x) for x in text.split(","))
@@ -100,22 +76,6 @@ def _emit(pairs, fmt: str, stream=None) -> None:
         stream.write(f"{key.ljust(pad)}  {val}\n")
 
 
-def _read_family(path: str) -> Family:
-    if path == "-":
-        return family_from_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_text(fh.read())
-
-
-def _write_family(fam: Family, path: str | None) -> None:
-    text = family_to_text(fam)
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _thresholds(args):
     ks = getattr(args, "ks", None)
     if ks is not None:
@@ -135,8 +95,7 @@ def _limits(args) -> SearchLimits:
 # Subcommand handlers.
 
 
-def _cmd_construct(config: RunConfig) -> int:
-    args = config.args
+def _cmd_construct(args) -> int:
     kind = args.kind
     if kind == "product":
         fam = cons.product_family(args.k, args.w)
@@ -149,7 +108,7 @@ def _cmd_construct(config: RunConfig) -> int:
             fix = cons.cyclic_fixup_vector(args.k)
             fam = Family(3, fam.vectors + (fix,))
     elif kind == "lift":
-        base = _read_family(args.input)
+        base = load_family(args.input)
         fam = cons.inductive_lift(base, args.k, args.shift)
     elif kind == "nonranked":
         fam = cons.non_ranked_example()
@@ -157,13 +116,12 @@ def _cmd_construct(config: RunConfig) -> int:
         fam = cons.weak_compression_family(args.k)
     else:
         fam = cons.generalized_product_family(args.ks)
-    _write_family(fam, args.out)
+    save_family(fam, args.out or "-")
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    args = config.args
-    fam = _read_family(args.input)
+def _cmd_verify(args) -> int:
+    fam = load_family(args.input)
     report = verify(fam, _thresholds(args), violation_cap=args.violation_cap)
     pairs = [
         ("size", report.size),
@@ -175,7 +133,7 @@ def _cmd_verify(config: RunConfig) -> int:
     ]
     if report.violations_truncated:
         pairs.append(("violations_truncated", "yes"))
-    _emit(pairs, config.format)
+    _emit(pairs, args.format)
     for a, b, kind in report.violations:
         sys.stdout.write(f"violation\t{kind}\t{a}\t{b}\n")
     return EXIT_OK if report.ok else EXIT_NEGATIVE
@@ -207,8 +165,7 @@ def _certificate_line(res: SearchResult, limits: SearchLimits) -> str:
     return f"certificate: {status}; box {box}; limits {lim}"
 
 
-def _cmd_search(config: RunConfig) -> int:
-    args = config.args
+def _cmd_search(args) -> int:
     limits = _limits(args)
     ks = _thresholds(args)
     if args.ranked:
@@ -218,7 +175,7 @@ def _cmd_search(config: RunConfig) -> int:
         if args.target is not None or args.box is not None:
             sys.stderr.write("error: --ranked takes no --target or --box\n")
             return EXIT_USAGE
-        res = ranked_max_family_size(args.k, args.w, limits, workers=config.workers)
+        res = ranked_max_family_size(args.k, args.w, limits, workers=args.workers)
     elif args.target is not None:
         box = SearchBox(args.box) if args.box is not None else None
         if box is not None and box.width != args.w:
@@ -227,7 +184,7 @@ def _cmd_search(config: RunConfig) -> int:
             )
             return EXIT_USAGE
         res = exists_family(
-            ks, args.w, args.target, box, limits, workers=config.workers
+            ks, args.w, args.target, box, limits, workers=args.workers
         )
     elif args.box is not None:
         box = SearchBox(args.box)
@@ -236,11 +193,11 @@ def _cmd_search(config: RunConfig) -> int:
                 f"error: box width {box.width} does not match --w {args.w}\n"
             )
             return EXIT_USAGE
-        res = max_family_in_box(ks, box, limits, workers=config.workers)
+        res = max_family_in_box(ks, box, limits, workers=args.workers)
     else:
-        res = max_family_size(ks, args.w, limits, workers=config.workers)
+        res = max_family_size(ks, args.w, limits, workers=args.workers)
 
-    _emit(_search_pairs(res, config.deterministic), config.format)
+    _emit(_search_pairs(res, args.deterministic), args.format)
     sys.stdout.write(_certificate_line(res, limits) + "\n")
     for note in res.notes:
         sys.stdout.write(f"note: {note}\n")
@@ -248,7 +205,7 @@ def _cmd_search(config: RunConfig) -> int:
         sys.stdout.write("# witness\n")
         sys.stdout.write(family_to_text(res.witness))
         if args.witness_out:
-            _write_family(res.witness, args.witness_out)
+            save_family(res.witness, args.witness_out)
 
     if args.target is not None:
         if res.found:
@@ -259,8 +216,7 @@ def _cmd_search(config: RunConfig) -> int:
     return EXIT_OK if res.exhaustive else EXIT_TRUNCATED
 
 
-def _cmd_bound(config: RunConfig) -> int:
-    args = config.args
+def _cmd_bound(args) -> int:
     if getattr(args, "ks", None) is not None:
         report = bounds_mod.generalized_bounds(args.ks)
     else:
@@ -279,12 +235,11 @@ def _cmd_bound(config: RunConfig) -> int:
     if report.ks is not None:
         pairs.insert(0, ("ks", ",".join(str(x) for x in report.ks)))
     pairs.extend((f"candidate:{name}", value) for name, value in report.candidates)
-    _emit(pairs, config.format)
+    _emit(pairs, args.format)
     return EXIT_OK
 
 
-def _cmd_poset(config: RunConfig) -> int:
-    args = config.args
+def _cmd_poset(args) -> int:
     if args.input == "-":
         poset = poset_from_text(sys.stdin.read())
     else:
@@ -301,7 +256,7 @@ def _cmd_poset(config: RunConfig) -> int:
         if witness is not None:
             pairs.append(("chain_1", " ".join(witness[0])))
             pairs.append(("chain_2", " ".join(witness[1])))
-        _emit(pairs, config.format)
+        _emit(pairs, args.format)
         return EXIT_OK if found else EXIT_NEGATIVE
 
     w, antichain, chains = width(poset)
@@ -316,22 +271,21 @@ def _cmd_poset(config: RunConfig) -> int:
     pairs.append(("maximum_antichains", lattice.size))
     if lattice.truncated:
         pairs.append(("lattice", "truncated"))
-        _emit(pairs, config.format)
+        _emit(pairs, args.format)
         return EXIT_TRUNCATED
     lw, picks = lattice_width_witness(lattice)
     pairs.append(("lattice_width", lw))
-    _emit(pairs, config.format)
+    _emit(pairs, args.format)
 
     if args.reduce is not None:
         fam = reduce_to_vectors(poset, args.reduce, picks)
         sys.stdout.write("# reduced family\n")
-        _write_family(fam, args.out)
+        save_family(fam, args.out or "-")
     return EXIT_OK
 
 
-def _cmd_compress(config: RunConfig) -> int:
-    args = config.args
-    fam = _read_family(args.input)
+def _cmd_compress(args) -> int:
+    fam = load_family(args.input)
     out = compress(fam, args.k, args.coord)
     c = args.coord - 1
     pairs = [
@@ -341,8 +295,8 @@ def _cmd_compress(config: RunConfig) -> int:
         ("coord_sum_after", sum(v[c] for v in out)),
         ("levels", " ".join(str(x) for x in sorted({v[c] for v in out}))),
     ]
-    _emit(pairs, config.format)
-    _write_family(out, args.out)
+    _emit(pairs, args.format)
+    save_family(out, args.out or "-")
     return EXIT_OK
 
 
@@ -354,11 +308,6 @@ _HANDLERS = {
     "poset": _cmd_poset,
     "compress": _cmd_compress,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed invocation; returns the process exit code."""
-    return _HANDLERS[config.subcommand](config)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +451,10 @@ def main(argv=None) -> int:
     if problem is not None:
         sys.stderr.write(f"error: {problem}\n")
         return EXIT_USAGE
+    if args.deterministic:
+        args.workers = 1
     try:
-        return run(RunConfig.from_args(args))
+        return _HANDLERS[args.subcommand](args)
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -23,7 +23,9 @@ just those.
 
 Workers > 1 splits the roots round-robin across processes.  Each worker
 finishes its share, so sizes are schedule-independent; the merged
-witness is the lexicographically least among the best found.
+witness is the lexicographically least among the best found.  A node
+limit is a budget for the whole call: the workers get shares of it that
+sum to it, so a node count never exceeds the limit.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ class _Search:
                 v = bits.find("1", v + 1)
 
     def _tick(self):
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
+        # Refuse a node before counting it, so nodes never exceeds the limit.
+        if self.node_limit is not None and self.nodes >= self.node_limit:
             raise _OutOfBudget
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise _OutOfBudget
@@ -231,12 +234,22 @@ def max_clique_parallel(
 ) -> CliqueResult:
     """Split roots across processes; exact results merge deterministically."""
     root_list = list(range(n) if roots is None else roots)
-    args = (initial, stop_at, node_limit, time_limit, tuple(covers))
+    covers = tuple(covers)
     if workers <= 1 or len(root_list) <= 1:
-        return max_clique(adj, n, root_list, *args)
+        return max_clique(
+            adj, n, root_list, initial, stop_at, node_limit, time_limit, covers
+        )
     chunks = [root_list[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
-    jobs = [(list(adj), n, c, *args) for c in chunks]
+    # One node budget for the call: the shares (N + i) // len(chunks) sum to N.
+    jobs = [
+        (
+            list(adj), n, c, initial, stop_at,
+            None if node_limit is None else (node_limit + i) // len(chunks),
+            time_limit, covers,
+        )
+        for i, c in enumerate(chunks)
+    ]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(pool.map(_worker, jobs))
     best_size = max(r.size for r in results)

@@ -21,6 +21,7 @@ file I/O; internally tuples are indexed the normal 0-based way.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -465,10 +466,17 @@ def family_from_text(text: str) -> Family:
 
 
 def load_family(path) -> Family:
+    """Read a family from a text file, or from stdin when path is "-"."""
+    if path == "-":
+        return family_from_text(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return family_from_text(fh.read())
 
 
 def save_family(family: Family, path) -> None:
+    """Write a family to a text file, or to stdout when path is "-"."""
+    if path == "-":
+        sys.stdout.write(family_to_text(family))
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(family_to_text(family))

@@ -78,6 +78,17 @@ r' <= r (rank drops by the sum of the minima).  Slices are searched in
 increasing rank, and a slice is skipped only when it has no more points
 than the incumbent, so every family larger than the incumbent has an
 equally large covering copy in a slice that was searched.
+
+One driver.  Every search mode (existence, in-box maximum, the growing
+boxes of `max_family_size`, constant rank) goes through one private
+driver that treats a box as a single slice and a ranked search as the
+rank slices of its box in increasing rank.  It alone derives the
+deadline from `time_limit`, charges the largest slice against
+`memory_mb` before building anything, turns a BoxTooLargeError or
+BuildDeadlineError into a truncated result whose note is the error,
+hands the clique engine the time and nodes left of the budget, and
+checks with a raising check (not an assert) that the witness verifies
+and has exactly the reported size.
 """
 
 from __future__ import annotations
@@ -86,14 +97,15 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # max_clique is unused here but stays importable: perfbench wraps both.
 from .clique import max_clique, max_clique_parallel  # noqa: F401
+from .constructions import generalized_product_family
 from .core import Family, Vector, threshold_seq, verify
 
 
@@ -110,8 +122,12 @@ class SearchLimits:
     """Resource caps for one search operation.
 
     Exceeding a cap degrades the result to exhaustive=False rather than
-    raising.  Under tight caps the exact truncation point can vary with
-    the worker count; within the caps, results are schedule-independent.
+    raising.  `time_limit` covers graph builds and clique search alike.
+    `node_limit` is one budget for the whole operation: the reported
+    `nodes` never exceeds it, and with several workers each gets a share
+    of what is left, the shares summing to it.  Under tight caps the
+    exact truncation point can therefore vary with the worker count;
+    within the caps, results are schedule-independent.
     """
 
     time_limit: float | None = 60.0
@@ -375,57 +391,66 @@ def normalize(family: Family, ks) -> Family:
     )
 
 
-def _clique_run(graph, initial, stop_at, limits: SearchLimits, workers: int):
-    # Zero covers (module docstring): per coordinate, the vertices at 0.
-    covers = [
-        sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
-        for j in range(graph.box.width)
-    ]
-    return max_clique_parallel(
-        graph.adj,
-        graph.n,
-        _roots(graph),
-        initial,
-        stop_at,
-        limits.node_limit,
-        limits.time_limit,
-        workers,
-        covers,
-    )
+def _remaining(limits: SearchLimits, start: float, nodes_used: int) -> SearchLimits:
+    time_left = None
+    if limits.time_limit is not None:
+        time_left = max(0.0, limits.time_limit - (time.monotonic() - start))
+    nodes_left = None
+    if limits.node_limit is not None:
+        nodes_left = max(0, limits.node_limit - nodes_used)
+    return SearchLimits(time_left, nodes_left, limits.memory_mb)
 
 
-def _witness_family(graph, members) -> Family:
-    return Family(graph.box.width, [graph.vectors[i] for i in members])
+def _search(
+    seq, box: SearchBox, limits: SearchLimits, workers: int, stop_at=None, ranked=False
+):
+    """The one search driver (module docstring, "One driver").
 
-
-def _check_witness(witness: Family, seq, size: int) -> None:
+    Searches the box as one slice, or with `ranked` its rank slices in
+    increasing rank, skipping any slice no larger than the incumbent.
+    Returns (best size, witness, nodes, truncated, build-error text or
+    None, start time).
+    """
+    start = time.monotonic()
+    deadline = None if limits.time_limit is None else start + limits.time_limit
+    if ranked:
+        what = f"largest rank slice of box {box}"
+        slices = list(enumerate(np.bincount(_rank_table(box).ravel()).tolist()))
+    else:
+        what = f"box {box}"
+        slices = [(None, box.size)]
+    best, witness, nodes, truncated, error = 0, Family(box.width), 0, False, None
+    try:
+        _check_memory(what, max(n for _, n in slices), box, limits.memory_mb)
+        for rank, n in slices:
+            if n <= best:
+                continue
+            graph = build_compatibility_graph(seq, box, limits.memory_mb, rank, deadline)
+            # Zero covers (module docstring): per coordinate, the vertices at 0.
+            covers = [
+                sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
+                for j in range(box.width)
+            ]
+            rem = _remaining(limits, start, nodes)
+            res = max_clique_parallel(
+                graph.adj, graph.n, _roots(graph), best, stop_at,
+                rem.node_limit, rem.time_limit, workers, covers,
+            )
+            nodes += res.nodes
+            truncated = truncated or res.truncated
+            if res.size > best:
+                best = res.size
+                witness = Family(box.width, [graph.vectors[i] for i in res.members])
+    except (BoxTooLargeError, BuildDeadlineError) as exc:
+        truncated, error = True, str(exc)
     # A raising check, not an assert: python -O must not let a wrong
     # witness through.
-    if len(witness) != size or not verify(witness, seq).ok:
+    if len(witness) != best or not verify(witness, seq).ok:
         raise RuntimeError(
             f"search produced a witness that is not a verifying family of "
-            f"size {size}: {list(witness.vectors)}"
+            f"size {best}: {list(witness.vectors)}"
         )
-
-
-def _deadline(limits: SearchLimits, start: float) -> float | None:
-    return None if limits.time_limit is None else start + limits.time_limit
-
-
-def _unbuilt(box: SearchBox, start: float, exc: Exception, target=None) -> SearchResult:
-    # The graph could not be built within the limits: nothing was decided.
-    return SearchResult(
-        best_size=0,
-        witness=Family(box.width),
-        exhaustive=False,
-        nodes=0,
-        elapsed=time.monotonic() - start,
-        box=box,
-        target=target,
-        found=None if target is None else False,
-        truncated=True,
-        notes=(str(exc),),
-    )
+    return best, witness, nodes, truncated, error, start
 
 
 def exists_family(
@@ -447,45 +472,38 @@ def exists_family(
     seq = threshold_seq(ks, w)
     if m < 1:
         raise ValueError(f"target size must be >= 1, got {m}")
-    limits = limits or SearchLimits()
     if box is None:
         box = auto_box(seq, w, m)
     if box.width != w:
         raise ValueError(f"box width {box.width} != {w}")
-    start = time.monotonic()
-    try:
-        graph = build_compatibility_graph(
-            seq, box, limits.memory_mb, deadline=_deadline(limits, start)
-        )
-    except (BoxTooLargeError, BuildDeadlineError) as exc:
-        return _unbuilt(box, start, exc, target=m)
-    res = _clique_run(graph, 0, m, _remaining(limits, start, 0), workers)
-    witness = _witness_family(graph, res.members)
-    _check_witness(witness, seq, res.size)
-    found = res.size >= m
-    if found:
-        exhaustive = True
-        notes = (f"witness of size {res.size} found in box {box}",)
-    elif res.truncated:
-        exhaustive = False
-        notes = (f"truncated before exhausting box {box}; best found {res.size}",)
+    best, witness, nodes, truncated, error, start = _search(
+        seq, box, limits or SearchLimits(), workers, stop_at=m
+    )
+    found = best >= m
+    exhaustive = found
+    if error is not None:
+        notes = (error,)
+    elif found:
+        notes = (f"witness of size {best} found in box {box}",)
+    elif truncated:
+        notes = (f"truncated before exhausting box {box}; best found {best}",)
     else:
         exhaustive = box.complete_for is not None and box.complete_for >= m
         scope = "global" if exhaustive else f"within box {box} only"
         notes = (
             f"no family of size {m} in box {box} ({box.derivation}); "
-            f"refutation is {scope}; in-box maximum is {res.size}",
+            f"refutation is {scope}; in-box maximum is {best}",
         )
     return SearchResult(
-        best_size=res.size,
+        best_size=best,
         witness=witness,
         exhaustive=exhaustive,
-        nodes=res.nodes,
+        nodes=nodes,
         elapsed=time.monotonic() - start,
         box=box,
         target=m,
         found=found,
-        truncated=res.truncated,
+        truncated=truncated,
         notes=notes,
     )
 
@@ -500,63 +518,27 @@ def max_family_in_box(
     known complete for best_size + 1, making the value global.
     """
     seq = threshold_seq(ks, box.width)
-    limits = limits or SearchLimits()
-    start = time.monotonic()
-    try:
-        graph = build_compatibility_graph(
-            seq, box, limits.memory_mb, deadline=_deadline(limits, start)
-        )
-    except (BoxTooLargeError, BuildDeadlineError) as exc:
-        return _unbuilt(box, start, exc)
-    res = _clique_run(graph, 0, None, _remaining(limits, start, 0), workers)
-    witness = _witness_family(graph, res.members)
-    _check_witness(witness, seq, res.size)
-    exhaustive = (
-        not res.truncated
-        and box.complete_for is not None
-        and box.complete_for >= res.size + 1
+    best, witness, nodes, truncated, error, start = _search(
+        seq, box, limits or SearchLimits(), workers
     )
-    notes = []
-    if res.truncated:
-        notes.append(f"truncated; {res.size} is only a lower bound for box {box}")
+    if error is not None:
+        note = error
+    elif truncated:
+        note = f"truncated; {best} is only a lower bound for box {box}"
     else:
-        notes.append(f"in-box maximum for {box} is {res.size}")
+        note = f"in-box maximum for {box} is {best}"
     return SearchResult(
-        best_size=res.size,
+        best_size=best,
         witness=witness,
-        exhaustive=exhaustive,
-        nodes=res.nodes,
+        exhaustive=(
+            not truncated and box.complete_for is not None and box.complete_for > best
+        ),
+        nodes=nodes,
         elapsed=time.monotonic() - start,
         box=box,
-        truncated=res.truncated,
-        notes=tuple(notes),
+        truncated=truncated,
+        notes=(note,),
     )
-
-
-def _seed_family(seq: tuple[int, ...]) -> Family:
-    # The generalized product construction, tolerant of unsorted
-    # thresholds: the smallest-threshold coordinate balances the rank.
-    w = len(seq)
-    i_min = min(range(w), key=lambda i: seq[i])
-    rest = [i for i in range(w) if i != i_min]
-    vectors = []
-    for combo in itertools.product(*(range(seq[i]) for i in rest)):
-        v = [0] * w
-        for i, val in zip(rest, combo):
-            v[i] = val
-        v[i_min] = -sum(combo)
-        vectors.append(tuple(v))
-    return Family(w, vectors)
-
-
-def _remaining(limits: SearchLimits, start: float, nodes_used: int) -> SearchLimits:
-    time_left = None
-    if limits.time_limit is not None:
-        time_left = max(0.0, limits.time_limit - (time.monotonic() - start))
-    nodes_left = None
-    if limits.node_limit is not None:
-        nodes_left = max(0, limits.node_limit - nodes_used)
-    return SearchLimits(time_left, nodes_left, limits.memory_mb)
 
 
 def max_family_size(
@@ -564,17 +546,22 @@ def max_family_size(
 ) -> SearchResult:
     """Certify the maximum family size by growing complete boxes.
 
-    Seeds from the product construction, then asks exists_family for
-    one more vector over a complete box until a target is refuted
-    (certified answer) or a resource cap bites (the best-so-far is
-    returned with exhaustive=False).  The box is the compression box
-    [0, m-1]^w for a uniform threshold and the auto box otherwise.
+    Seeds from the generalized product construction, then asks
+    exists_family for one more vector over a complete box until a
+    target is refuted (certified answer) or a resource cap bites (the
+    best-so-far is returned with exhaustive=False).  The box is the
+    compression box [0, m-1]^w for a uniform threshold and the auto box
+    otherwise.
     """
     seq = threshold_seq(ks, w)
     limits = limits or SearchLimits()
     start = time.monotonic()
-    seed = _seed_family(seq)
-    witness = normalize(seed, seq)
+    # The construction wants nondecreasing thresholds: build it on the
+    # stably sorted ones, then put each coordinate back in place.
+    order = sorted(range(w), key=seq.__getitem__)
+    seed = generalized_product_family([seq[i] for i in order])
+    back = [order.index(i) for i in range(w)]
+    witness = normalize(Family(w, [[v[j] for j in back] for v in seed]), seq)
     best = len(witness)
     upper = math.prod(seq)
     nodes = 0
@@ -594,7 +581,7 @@ def max_family_size(
             continue
         elapsed = time.monotonic() - start
         if res.exhaustive:
-            if res.best_size == best and len(res.witness) == best:
+            if res.best_size == best:
                 witness = res.witness
             return SearchResult(
                 best_size=best,
@@ -605,7 +592,7 @@ def max_family_size(
                 box=res.box,
                 notes=(f"certified maximum family size {best}",) + res.notes,
             )
-        if res.best_size > best and len(res.witness) == res.best_size:
+        if res.best_size > best:
             best, witness = res.best_size, res.witness
         return SearchResult(
             best_size=best,
@@ -636,45 +623,16 @@ def ranked_max_family_size(
         raise ValueError(f"k must be >= 1, got {k}")
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
-    limits = limits or SearchLimits()
     side = (w - 1) * (k - 1)
     box = SearchBox(
         (side,) * w,
         derivation="ranked (min-translated values fit in [0,(w-1)(k-1)])",
     )
-    seq = (k,) * w
-    start = time.monotonic()
-    deadline = _deadline(limits, start)
-    best = 0
-    witness = Family(w)
-    nodes = 0
-    truncated = False
-    build_error = None
-    sizes = np.bincount(_rank_table(box).ravel())
-    try:
-        _check_memory(
-            f"largest rank slice of box {box}", int(sizes.max()), box, limits.memory_mb
-        )
-        for level, size in enumerate(sizes.tolist()):
-            if size <= best:
-                continue
-            graph = build_compatibility_graph(
-                seq, box, limits.memory_mb, level, deadline
-            )
-            rem = _remaining(limits, start, nodes)
-            res = _clique_run(graph, best, None, rem, workers)
-            nodes += res.nodes
-            if res.truncated:
-                truncated = True
-            if res.size > best and res.members:
-                best = res.size
-                witness = _witness_family(graph, res.members)
-    except (BoxTooLargeError, BuildDeadlineError) as exc:
-        truncated = True
-        build_error = str(exc)
-    _check_witness(witness, seq, best)
-    if build_error is not None:
-        note = build_error
+    best, witness, nodes, truncated, error, start = _search(
+        (k,) * w, box, limits or SearchLimits(), workers, ranked=True
+    )
+    if error is not None:
+        note = error
     elif truncated:
         note = f"best found {best}; truncated"
     else:
@@ -715,10 +673,29 @@ class CrossDigraph:
     long_edges: frozenset[tuple[Vector, Vector]]
 
     def successors(self) -> dict[Vector, set[Vector]]:
-        succ: dict[Vector, set[Vector]] = {v: set() for v in self.family}
-        for a, b in self.short_edges | self.long_edges:
-            succ[a].add(b)
-        return succ
+        return _successors(self.family, self.short_edges | self.long_edges)
+
+
+def _successors(vectors, edges) -> dict[Vector, set[Vector]]:
+    succ: dict[Vector, set[Vector]] = {v: set() for v in vectors}
+    for a, b in edges:
+        succ[a].add(b)
+    return succ
+
+
+def _check_digraph_input(family: Family, k: int, coord: int) -> int:
+    # Preconditions of the cross digraph; returns the 0-based coordinate.
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= coord <= family.width:
+        raise ValueError(f"coordinate {coord} out of range 1..{family.width}")
+    if not verify(family, k).ok:
+        raise ValueError(f"family does not verify for k={k}")
+    c = coord - 1
+    for v in family:
+        if v[c] < 0:
+            raise ValueError(f"vector {v} negative on coordinate {coord}")
+    return c
 
 
 def _digraph_edges(vectors, k: int, c: int):
@@ -745,16 +722,7 @@ def build_cross_digraph(family: Family, k: int, coord: int) -> CrossDigraph:
     The family must verify for k and be nonnegative on `coord`
     (1-based).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 1 <= coord <= family.width:
-        raise ValueError(f"coordinate {coord} out of range 1..{family.width}")
-    if not verify(family, k).ok:
-        raise ValueError(f"family does not verify for k={k}")
-    c = coord - 1
-    for v in family:
-        if v[c] < 0:
-            raise ValueError(f"vector {v} negative on coordinate {coord}")
+    c = _check_digraph_input(family, k, coord)
     short, long = _digraph_edges(family.vectors, k, c)
     return CrossDigraph(family, k, coord, frozenset(short), frozenset(long))
 
@@ -785,24 +753,13 @@ def compress(family: Family, k: int, coord: int) -> Family:
     verification are preserved; the result is idempotent under repeated
     compression of the same coordinate.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 1 <= coord <= family.width:
-        raise ValueError(f"coordinate {coord} out of range 1..{family.width}")
-    if not verify(family, k).ok:
-        raise ValueError(f"family does not verify for k={k}")
-    c = coord - 1
-    for v in family:
-        if v[c] < 0:
-            raise ValueError(f"vector {v} negative on coordinate {coord}")
+    c = _check_digraph_input(family, k, coord)
     if len(family) == 0:
         return family
     vectors = list(family.vectors)
     while True:
         short, long = _digraph_edges(vectors, k, c)
-        succ: dict[Vector, set[Vector]] = {v: set() for v in vectors}
-        for a, b in short | long:
-            succ[a].add(b)
+        succ = _successors(vectors, short | long)
         reached = _reaches_level0(vectors, succ, c)
         stuck = sorted(v for v in vectors if v not in reached)
         if not stuck:

@@ -1,6 +1,8 @@
 """Vectors, thresholds, pair predicates, verification, text format."""
 
+import io
 import random
+import sys
 
 import pytest
 
@@ -263,11 +265,18 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             family_from_text("# nothing\n")
 
-    def test_save_load(self, tmp_path):
+    def test_save_load(self, tmp_path, monkeypatch):
         f = Family(2, [(4, -1), (0, 3)])
         path = tmp_path / "fam.txt"
         save_family(f, path)
         assert load_family(path) == f
+        # "-" is stdout for save_family and stdin for load_family.
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        save_family(f, "-")
+        assert out.getvalue() == family_to_text(f)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
+        assert load_family("-") == f
 
 
 def test_pair_relation_oracle_agrees_with_predicates():

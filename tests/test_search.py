@@ -168,6 +168,16 @@ class TestExistsFamily:
         res = exists_family(2, 2, 3, limits=SearchLimits(node_limit=1))
         assert res.truncated and not res.exhaustive and not res.found
 
+    def test_node_limit_is_one_budget_for_the_run(self):
+        # The refused node is not counted, and workers share the budget.
+        box = compression_box(3, 3, 10)
+        for workers in (1, 2):
+            res = exists_family(
+                3, 3, 10, box=box, limits=SearchLimits(node_limit=1000), workers=workers
+            )
+            assert res.truncated and not res.exhaustive
+            assert res.nodes <= 1000
+
     def test_box_too_large_becomes_truncated_result(self):
         res = max_family_in_box(
             2, SearchBox((99, 99)), limits=SearchLimits(memory_mb=0.1)
@@ -217,6 +227,14 @@ class TestMaxFamily:
             assert res.exhaustive and not res.truncated
             assert verify(res.witness, k).ok
             assert len(res.witness) == expect
+
+    def test_unsorted_thresholds(self):
+        # The seed puts each threshold back on its own coordinate.
+        res = max_family_size((2, 1), 2)
+        assert res.best_size == 2 and res.exhaustive
+        res = max_family_size((3, 2, 3), 3, SearchLimits(time_limit=3))
+        assert len(res.witness) == res.best_size >= 9
+        assert verify(res.witness, (3, 2, 3)).ok
 
     def test_uniform_threshold_searches_compression_box(self):
         res = max_family_size(3, 3)

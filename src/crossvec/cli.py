@@ -12,7 +12,9 @@ query came back negative; 2 usage errors or malformed input files;
 `--format records` emits tab-separated key/value lines with the same
 numeric content as the human table.  `--deterministic` forces a single
 worker and drops timing lines so output is byte-identical across runs
-and worker counts.
+and worker counts, unless `--time-limit` cuts the run: where a time
+limit stops the search depends on the machine, so the node count and
+the witness can then differ between runs.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .core import (
 from .posets import (
     contains_k_plus_k,
     lattice_width_witness,
+    load_poset,
     max_antichains,
-    poset_from_text,
     reduce_to_vectors,
     width,
 )
@@ -149,50 +151,31 @@ def _search_pairs(res: SearchResult, deterministic: bool):
     pairs.append(("nodes", res.nodes))
     if not deterministic:
         pairs.append(("elapsed", f"{res.elapsed:.2f}s"))
-    if res.box is not None:
-        pairs.append(("box", str(res.box)))
-        pairs.append(("box_derivation", res.box.derivation))
+    pairs.append(("box", str(res.box)))
+    pairs.append(("box_derivation", res.box.derivation))
     return pairs
 
 
 def _certificate_line(res: SearchResult, limits: SearchLimits) -> str:
-    box = str(res.box) if res.box is not None else "none"
     lim = (
         f"time={limits.time_limit}s nodes={limits.node_limit} "
         f"memory={limits.memory_mb}MiB"
     )
     status = "exhaustive" if res.exhaustive else "not exhaustive"
-    return f"certificate: {status}; box {box}; limits {lim}"
+    return f"certificate: {status}; box {res.box}; limits {lim}"
 
 
 def _cmd_search(args) -> int:
     limits = _limits(args)
     ks = _thresholds(args)
+    box = SearchBox(args.box) if args.box is not None else None
     if args.ranked:
-        if getattr(args, "ks", None) is not None:
-            sys.stderr.write("error: --ranked requires a uniform --k\n")
-            return EXIT_USAGE
-        if args.target is not None or args.box is not None:
-            sys.stderr.write("error: --ranked takes no --target or --box\n")
-            return EXIT_USAGE
         res = ranked_max_family_size(args.k, args.w, limits, workers=args.workers)
     elif args.target is not None:
-        box = SearchBox(args.box) if args.box is not None else None
-        if box is not None and box.width != args.w:
-            sys.stderr.write(
-                f"error: box width {box.width} does not match --w {args.w}\n"
-            )
-            return EXIT_USAGE
         res = exists_family(
             ks, args.w, args.target, box, limits, workers=args.workers
         )
-    elif args.box is not None:
-        box = SearchBox(args.box)
-        if box.width != args.w:
-            sys.stderr.write(
-                f"error: box width {box.width} does not match --w {args.w}\n"
-            )
-            return EXIT_USAGE
+    elif box is not None:
         res = max_family_in_box(ks, box, limits, workers=args.workers)
     else:
         res = max_family_size(ks, args.w, limits, workers=args.workers)
@@ -240,12 +223,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    if args.input == "-":
-        poset = poset_from_text(sys.stdin.read())
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            poset = poset_from_text(fh.read())
-
+    poset = load_poset(args.input)
     if args.contains is not None:
         found, witness = contains_k_plus_k(poset, args.contains)
         pairs = [
@@ -321,7 +299,8 @@ def _add_common(sub) -> None:
     )
     sub.add_argument(
         "--deterministic", action="store_true",
-        help="single worker, no timing lines; byte-identical output",
+        help="single worker, no timing lines; byte-identical output "
+        "unless --time-limit cuts the run",
     )
 
 
@@ -441,6 +420,13 @@ def _validate(args) -> str | None:
             return "--kind genproduct requires --ks"
     if sub == "bound" and ks is None and args.w is None:
         return "bound requires --w with --k"
+    if sub == "search":
+        if args.ranked and ks is not None:
+            return "--ranked requires a uniform --k"
+        if args.ranked and (args.target is not None or args.box is not None):
+            return "--ranked takes no --target or --box"
+        if args.box is not None and len(args.box) != args.w:
+            return f"box width {len(args.box)} does not match --w {args.w}"
     return None
 
 

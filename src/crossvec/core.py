@@ -305,8 +305,11 @@ def _verify_small(vs, seq, cap):
 def _verify_blocked(vs, seq, cap):
     # Blocked pairwise comparison; per-pair semantics identical to
     # _pair_kind, kept in sync by the randomized equivalence tests.
+    # Only called with every |coordinate| < 2^31, so every |difference|
+    # is < 2^32 and a threshold clamped at 2^32 still fits int64 and
+    # decides every pair exactly as the unclamped one.
     coords = np.asarray(vs, dtype=np.int64)
-    ks_arr = np.asarray(seq, dtype=np.int64)
+    ks_arr = np.asarray([min(k, 2**32) for k in seq], dtype=np.int64)
     n, w = coords.shape
     antichain = True
     cross_free = True

@@ -20,6 +20,7 @@ pass.  The same machinery runs unchanged on the M(P) order.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -403,10 +404,7 @@ def max_antichains(p: Poset, cap: int = 1_000_000) -> MaxAntichainLattice:
 
 def lattice_width(lat: MaxAntichainLattice) -> int:
     """Width of the maximum-antichain order; rejects truncated input."""
-    if lat.truncated:
-        raise ValueError("lattice enumeration was truncated; width unreliable")
-    w, _, _ = _width_from_leq(lat.leq, lat.size)
-    return w
+    return lattice_width_witness(lat)[0]
 
 
 def lattice_width_witness(lat: MaxAntichainLattice):
@@ -486,11 +484,17 @@ def reduce_to_vectors(p: Poset, k: int, antichain_family: Sequence[Iterable[Labe
 
     Fixes the chain cover returned by width(); the vector of an
     antichain records, per cover chain, the 1-based position of its
-    unique element on that chain.  For antichains pairwise incomparable
-    in the maximum-antichain order, the vectors are pairwise
-    incomparable, and when p has no (k+1)+(k+1) subposet no pair is
-    k-crossing; the output is checked against k and a failure (which
-    can only come from a violated precondition) raises ValueError.
+    unique element on that chain.  On maximum antichains this map is an
+    order embedding: A <= B in the maximum-antichain order exactly when
+    v(A) <= v(B) coordinatewise.  One way, v(A) <= v(B) puts each a_i
+    below b_i on cover chain i.  The other way, if every a lies below
+    some b but b_i < a_i on some chain i, then b_i < a_i <= b for some
+    b in B, two comparable members of the antichain B.  So equal inputs
+    give equal vectors, and otherwise the antichain flag of `verify` on
+    the output fails exactly when two inputs are comparable: it is the
+    only pairwise check needed.  When p has no (k+1)+(k+1) subposet no pair is k-crossing; a
+    crossing pair can only come from a violated precondition.  Both
+    failures raise ValueError.
 
     Different minimum chain covers give different, equally valid
     families; only the cover fixed here is used.
@@ -520,19 +524,14 @@ def reduce_to_vectors(p: Poset, k: int, antichain_family: Sequence[Iterable[Labe
                 if not p.incomparable(x, y):
                     raise ValueError(f"{x!r} and {y!r} are comparable; not an antichain")
 
-    def dominated(a, b) -> bool:
-        return all(any(p.leq(x, y) for y in b) for x in a)
+    def comparable(a, b) -> ValueError:
+        return ValueError(
+            f"antichains {a} and {b} are comparable in the "
+            "maximum-antichain order; the reduction needs pairwise "
+            "incomparable members"
+        )
 
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if dominated(a, b) or dominated(b, a):
-                raise ValueError(
-                    f"antichains {a} and {b} are comparable in the "
-                    "maximum-antichain order; the reduction needs pairwise "
-                    "incomparable members"
-                )
-
-    vectors = []
+    antichain_of: dict[tuple[int, ...], tuple[Label, ...]] = {}
     for a in members:
         coords = [0] * w
         seen_chain = [False] * w
@@ -548,9 +547,17 @@ def reduce_to_vectors(p: Poset, k: int, antichain_family: Sequence[Iterable[Labe
             raise RuntimeError(
                 f"antichain {a} misses a cover chain; cover invalid"
             )
-        vectors.append(tuple(coords))
-    fam = Family(w, vectors)
-    if len(members) > 0 and not verify(fam, k).ok:
+        v = tuple(coords)
+        if v in antichain_of:
+            raise comparable(antichain_of[v], a)
+        antichain_of[v] = a
+    fam = Family(w, antichain_of)
+    # No cap short of all pairs: a comparable pair must reach the list.
+    report = verify(fam, k, violation_cap=len(members) ** 2)
+    if not report.is_antichain:
+        u, v = next((u, v) for u, v, kind in report.violations if kind == "comparable")
+        raise comparable(antichain_of[u], antichain_of[v])
+    if not report.is_cross_free:
         raise ValueError(
             f"reduced family fails verification for k={k}; the poset must "
             f"contain a {k + 1}+{k + 1} subposet (precondition violated)"
@@ -611,6 +618,9 @@ def poset_from_text(text: str) -> Poset:
 
 
 def load_poset(path) -> Poset:
+    """Read a poset from a text file, or from stdin when path is "-"."""
+    if path == "-":
+        return poset_from_text(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return poset_from_text(fh.read())
 

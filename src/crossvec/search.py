@@ -88,7 +88,11 @@ deadline from `time_limit`, charges the largest slice against
 BuildDeadlineError into a truncated result whose note is the error,
 hands the clique engine the time and nodes left of the budget, and
 checks with a raising check (not an assert) that the witness verifies
-and has exactly the reported size.
+and has exactly the reported size.  It returns the SearchResult with
+size, witness, nodes, time, box and truncation filled in and
+exhaustive=False; each entry point only adds its verdict (exhaustive,
+target and found, and a note unless the build error already is one)
+with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -357,7 +361,7 @@ class SearchResult:
     exhaustive: bool
     nodes: int
     elapsed: float
-    box: SearchBox | None
+    box: SearchBox
     target: int | None = None
     found: bool | None = None
     truncated: bool = False
@@ -403,13 +407,13 @@ def _remaining(limits: SearchLimits, start: float, nodes_used: int) -> SearchLim
 
 def _search(
     seq, box: SearchBox, limits: SearchLimits, workers: int, stop_at=None, ranked=False
-):
+) -> SearchResult:
     """The one search driver (module docstring, "One driver").
 
     Searches the box as one slice, or with `ranked` its rank slices in
     increasing rank, skipping any slice no larger than the incumbent.
-    Returns (best size, witness, nodes, truncated, build-error text or
-    None, start time).
+    The result is never exhaustive: the entry points judge that.  Its
+    notes hold only a build error's text, if the build raised one.
     """
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit
@@ -419,7 +423,7 @@ def _search(
     else:
         what = f"box {box}"
         slices = [(None, box.size)]
-    best, witness, nodes, truncated, error = 0, Family(box.width), 0, False, None
+    best, witness, nodes, truncated, notes = 0, Family(box.width), 0, False, ()
     try:
         _check_memory(what, max(n for _, n in slices), box, limits.memory_mb)
         for rank, n in slices:
@@ -442,7 +446,7 @@ def _search(
                 best = res.size
                 witness = Family(box.width, [graph.vectors[i] for i in res.members])
     except (BoxTooLargeError, BuildDeadlineError) as exc:
-        truncated, error = True, str(exc)
+        truncated, notes = True, (str(exc),)
     # A raising check, not an assert: python -O must not let a wrong
     # witness through.
     if len(witness) != best or not verify(witness, seq).ok:
@@ -450,7 +454,16 @@ def _search(
             f"search produced a witness that is not a verifying family of "
             f"size {best}: {list(witness.vectors)}"
         )
-    return best, witness, nodes, truncated, error, start
+    return SearchResult(
+        best_size=best,
+        witness=witness,
+        exhaustive=False,
+        nodes=nodes,
+        elapsed=time.monotonic() - start,
+        box=box,
+        truncated=truncated,
+        notes=notes,
+    )
 
 
 def exists_family(
@@ -476,35 +489,24 @@ def exists_family(
         box = auto_box(seq, w, m)
     if box.width != w:
         raise ValueError(f"box width {box.width} != {w}")
-    best, witness, nodes, truncated, error, start = _search(
-        seq, box, limits or SearchLimits(), workers, stop_at=m
-    )
+    res = _search(seq, box, limits or SearchLimits(), workers, stop_at=m)
+    best = res.best_size
     found = best >= m
-    exhaustive = found
-    if error is not None:
-        notes = (error,)
-    elif found:
-        notes = (f"witness of size {best} found in box {box}",)
-    elif truncated:
-        notes = (f"truncated before exhausting box {box}; best found {best}",)
+    exhaustive = found or (
+        not res.truncated and box.complete_for is not None and box.complete_for >= m
+    )
+    if found:
+        note = f"witness of size {best} found in box {box}"
+    elif res.truncated:
+        note = f"truncated before exhausting box {box}; best found {best}"
     else:
-        exhaustive = box.complete_for is not None and box.complete_for >= m
         scope = "global" if exhaustive else f"within box {box} only"
-        notes = (
+        note = (
             f"no family of size {m} in box {box} ({box.derivation}); "
-            f"refutation is {scope}; in-box maximum is {best}",
+            f"refutation is {scope}; in-box maximum is {best}"
         )
-    return SearchResult(
-        best_size=best,
-        witness=witness,
-        exhaustive=exhaustive,
-        nodes=nodes,
-        elapsed=time.monotonic() - start,
-        box=box,
-        target=m,
-        found=found,
-        truncated=truncated,
-        notes=notes,
+    return replace(
+        res, exhaustive=exhaustive, target=m, found=found, notes=res.notes or (note,)
     )
 
 
@@ -518,27 +520,16 @@ def max_family_in_box(
     known complete for best_size + 1, making the value global.
     """
     seq = threshold_seq(ks, box.width)
-    best, witness, nodes, truncated, error, start = _search(
-        seq, box, limits or SearchLimits(), workers
-    )
-    if error is not None:
-        note = error
-    elif truncated:
+    res = _search(seq, box, limits or SearchLimits(), workers)
+    best = res.best_size
+    if res.truncated:
         note = f"truncated; {best} is only a lower bound for box {box}"
     else:
         note = f"in-box maximum for {box} is {best}"
-    return SearchResult(
-        best_size=best,
-        witness=witness,
-        exhaustive=(
-            not truncated and box.complete_for is not None and box.complete_for > best
-        ),
-        nodes=nodes,
-        elapsed=time.monotonic() - start,
-        box=box,
-        truncated=truncated,
-        notes=(note,),
+    exhaustive = (
+        not res.truncated and box.complete_for is not None and box.complete_for > best
     )
+    return replace(res, exhaustive=exhaustive, notes=res.notes or (note,))
 
 
 def max_family_size(
@@ -565,45 +556,37 @@ def max_family_size(
     best = len(witness)
     upper = math.prod(seq)
     nodes = 0
-    m = best + 1
     while True:
-        box = compression_box(seq[0], w, m) if len(set(seq)) == 1 else None
-        res = exists_family(seq, w, m, box, _remaining(limits, start, nodes), workers)
-        nodes += res.nodes
-        if res.found:
-            best = res.best_size
-            witness = res.witness
-            m = best + 1
-            if best > upper:
-                raise RuntimeError(
-                    f"search found size {best}, above the proven upper bound {upper}"
-                )
-            continue
-        elapsed = time.monotonic() - start
-        if res.exhaustive:
-            if res.best_size == best:
-                witness = res.witness
-            return SearchResult(
-                best_size=best,
-                witness=witness,
-                exhaustive=True,
-                nodes=nodes,
-                elapsed=elapsed,
-                box=res.box,
-                notes=(f"certified maximum family size {best}",) + res.notes,
-            )
-        if res.best_size > best:
-            best, witness = res.best_size, res.witness
-        return SearchResult(
-            best_size=best,
-            witness=witness,
-            exhaustive=False,
-            nodes=nodes,
-            elapsed=elapsed,
-            box=res.box,
-            truncated=res.truncated,
-            notes=(f"best found {best}; not certified",) + res.notes,
+        box = compression_box(seq[0], w, best + 1) if len(set(seq)) == 1 else None
+        res = exists_family(
+            seq, w, best + 1, box, _remaining(limits, start, nodes), workers
         )
+        nodes += res.nodes
+        if not res.found:
+            break
+        best, witness = res.best_size, res.witness
+        if best > upper:
+            raise RuntimeError(
+                f"search found size {best}, above the proven upper bound {upper}"
+            )
+    # Size best + 1 was not found, so the box holds no larger family; a
+    # complete box also holds a copy of the best one, so its maximum is best.
+    if res.exhaustive:
+        status = f"certified maximum family size {best}"
+        if res.best_size == best:
+            witness = res.witness
+    else:
+        status = f"best found {best}; not certified"
+    return SearchResult(
+        best_size=best,
+        witness=witness,
+        exhaustive=res.exhaustive,
+        nodes=nodes,
+        elapsed=time.monotonic() - start,
+        box=res.box,
+        truncated=res.truncated,
+        notes=(status,) + res.notes,
+    )
 
 
 def ranked_max_family_size(
@@ -628,28 +611,15 @@ def ranked_max_family_size(
         (side,) * w,
         derivation="ranked (min-translated values fit in [0,(w-1)(k-1)])",
     )
-    best, witness, nodes, truncated, error, start = _search(
-        (k,) * w, box, limits or SearchLimits(), workers, ranked=True
-    )
-    if error is not None:
-        note = error
-    elif truncated:
-        note = f"best found {best}; truncated"
+    res = _search((k,) * w, box, limits or SearchLimits(), workers, ranked=True)
+    if res.truncated:
+        note = f"best found {res.best_size}; truncated"
     else:
         note = (
-            f"certified maximum constant-rank family size {best} (box {box}, all "
-            f"rank slices 0..{w * side})"
+            f"certified maximum constant-rank family size {res.best_size} (box "
+            f"{box}, all rank slices 0..{w * side})"
         )
-    return SearchResult(
-        best_size=best,
-        witness=witness,
-        exhaustive=not truncated,
-        nodes=nodes,
-        elapsed=time.monotonic() - start,
-        box=box,
-        truncated=truncated,
-        notes=(note,),
-    )
+    return replace(res, exhaustive=not res.truncated, notes=res.notes or (note,))
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,20 @@ class TestVerify:
         rep2 = verify(bad, 25)
         assert not rep2.ok and not rep2.is_antichain
 
+    def test_threshold_beyond_int64(self):
+        # Differences stay below 2^32 on the blocked path, so a threshold
+        # far above int64 decides every pair as the small path does.
+        f = product_family(25, 3)
+        bad = Family(3, f.vectors + ((1000, 1000, 1000), (2000, -2000, 0)))
+        for fam, seq in ((f, (2**70,) * 3), (bad, (2**70, 3, 2**40))):
+            rep = verify(fam, seq)
+            small = _verify_small(fam.vectors, seq, 100)
+            assert small == _verify_blocked(fam.vectors, seq, 100)
+            assert (rep.is_antichain, rep.is_cross_free) == small[:2]
+        assert verify(f, 2**70).ok
+        rep = verify(bad, (2**70, 3, 2**40))
+        assert rep.is_cross_free and not rep.is_antichain
+
 
 class TestDualOrders:
     def test_two_free_coordinates(self):

@@ -1,6 +1,8 @@
 """Posets, width with witnesses, the lattice of maximum antichains."""
 
+import io
 import random
+import sys
 
 import pytest
 
@@ -233,9 +235,12 @@ class TestReduceToVectors:
         p = disjoint_chains(2, 2)
         with pytest.raises(ValueError):
             reduce_to_vectors(p, 2, [("a1",)])  # not maximum-size
-        with pytest.raises(ValueError):
-            # comparable in the antichain order: ('a1','b1') <= ('a2','b1')
+        # comparable in the antichain order: ('a1','b1') <= ('a2','b1')
+        with pytest.raises(ValueError, match="comparable in the maximum-antichain order"):
             reduce_to_vectors(p, 2, [("a1", "b1"), ("a2", "b1")])
+        # the same antichain twice is comparable to itself
+        with pytest.raises(ValueError, match="comparable in the maximum-antichain order"):
+            reduce_to_vectors(p, 2, [("a1", "b2"), ("b2", "a1")])
 
 
 class TestTextFormat:
@@ -271,9 +276,12 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             poset_from_text("elements a b\na < b\nb < a\n")
 
-    def test_save_load(self, tmp_path):
+    def test_save_load(self, tmp_path, monkeypatch):
         p = chain(3)
         path = tmp_path / "poset.txt"
         save_poset(p, path)
         q = load_poset(path)
         assert poset_to_text(q) == poset_to_text(p)
+        # "-" reads stdin.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(poset_to_text(p)))
+        assert poset_to_text(load_poset("-")) == poset_to_text(p)

@@ -262,6 +262,16 @@ class TestMaxFamily:
                 0 <= v[i] <= limits[i] for v in res.witness for i in range(len(seq))
             )
 
+    def test_in_box_verdict(self):
+        # A box complete for size 5 that holds no family of 5 certifies
+        # its maximum 4 globally; one complete only for size 4 cannot.
+        res = max_family_in_box(2, compression_box(2, 3, 5))
+        assert res.best_size == 4 and res.exhaustive and not res.truncated
+        assert res.notes == ("in-box maximum for [0,4]^3 is 4",)
+        res = max_family_in_box(2, compression_box(2, 3, 4))
+        assert res.best_size == 4 and not res.exhaustive and not res.truncated
+        assert verify(res.witness, 2).ok and len(res.witness) == 4
+
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
         two = max_family_size(2, 3, workers=2)

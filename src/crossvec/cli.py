@@ -427,6 +427,15 @@ def _validate(args) -> str | None:
             return "--ranked takes no --target or --box"
         if args.box is not None and len(args.box) != args.w:
             return f"box width {len(args.box)} does not match --w {args.w}"
+        if args.workers < 1:
+            return "--workers must be at least 1"
+        if args.node_limit < 0:
+            return "--node-limit must be nonnegative"
+        # "not x >= 0" rather than "x < 0", so that NaN is refused too.
+        if not args.time_limit >= 0:
+            return "--time-limit must be nonnegative"
+        if not args.memory_mb > 0:
+            return "--memory-mb must be positive"
     return None
 
 

@@ -21,6 +21,22 @@ no extension could then meet it.  Removing vertex v from the candidates
 can only empty masks that contain v, so the branching loop re-checks
 just those.
 
+Colouring.  Each node colours its candidates greedily, one colour class
+at a time: a class takes the least candidate left, drops it and its
+neighbours from the class, and repeats.  A node at depth d branches on
+the coloured vertices from the highest colour down and returns at the
+first vertex whose colour c has d + c <= the incumbent size.  The
+incumbent only grows, so every vertex of a colour below
+k_min = incumbent - d + 1 (taken when the node starts) would end the
+loop; those classes are peeled off the candidates without being
+recorded, and only the vertices that can branch are kept.  One table
+per search, drop[q] = ~(adj[q - 1] | 1 << (q - 1)) indexed by
+bit_length (drop[0] = -1 is never read), removes a picked vertex and
+its neighbours from a class with a single AND.  The classes, their
+order and every branch taken are those of a full colouring, so node
+counts, sizes and witnesses cannot move; only time does.  The table
+costs as much memory as the adjacency.
+
 Workers > 1 splits the roots round-robin across processes.  Each worker
 finishes its share, so sizes are schedule-independent; the merged
 witness is the lexicographically least among the best found.  A node
@@ -76,6 +92,8 @@ class _Search:
         self.best: tuple[int, ...] = ()
         self.stack: list[int] = []
         self.stop_at: int | None = None
+        # drop[v + 1] clears v and its neighbours (module docstring).
+        self.drop = [-1] + [~(adj[v] | 1 << v) for v in range(n)]
         covers = tuple(covers)
         self.all_covers = (1 << len(covers)) - 1
         self.cover_sets = _CoverSets(covers)
@@ -105,23 +123,29 @@ class _Search:
         if self.stop_at is not None and size >= self.stop_at:
             raise _TargetReached
 
-    def _color_sort(self, cand):
-        # Greedy colouring; vertices come back grouped by colour class,
-        # so colors[] is nondecreasing and bounds the clique extension.
-        adj = self.adj
+    def _color_sort(self, cand, kmin):
+        # Greedy colouring; vertices of colour >= kmin come back grouped
+        # by colour class, so colors[] is nondecreasing and bounds the
+        # clique extension.  Lower classes are peeled off unrecorded.
+        drop = self.drop
         order = []
         colors = []
         color = 0
         while cand:
             color += 1
             group = cand
+            if color < kmin:
+                while group:
+                    low = group & -group
+                    cand ^= low
+                    group &= drop[low.bit_length()]
+                continue
             while group:
                 low = group & -group
-                v = low.bit_length() - 1
+                q = low.bit_length()
                 cand ^= low
-                group &= ~adj[v]
-                group &= ~low
-                order.append(v)
+                group &= drop[q]
+                order.append(q - 1)
                 colors.append(color)
         return order, colors
 
@@ -132,7 +156,7 @@ class _Search:
         adj = self.adj
         member = self.member
         cover_sets = self.cover_sets
-        order, colors = self._color_sort(cand)
+        order, colors = self._color_sort(cand, self.best_size - depth + 1)
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= self.best_size:
                 return

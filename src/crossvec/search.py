@@ -50,8 +50,9 @@ of a block of rows at a time (never an n x n matrix).  A rank slice
 keeps a small part of each window, so its rows are read straight from
 the flattened table at index base(p) + offset(q) for the slice's q,
 never through a full box row.  Each row is packed into an int bitmask.
-The table's prod(2 L_i + 1) bytes and the n^2/8 bytes of adjacency both
-count against the memory budget, and the deadline is checked between
+The table's prod(2 L_i + 1) bytes, the n^2/8 bytes of adjacency and
+the clique engine's complement rows of the same size all count against
+the memory budget, and the deadline is checked between
 row blocks, so `time_limit` covers the build.
 
 Symmetry pruning.  The clique engine branches on the minimum vertex, so
@@ -256,12 +257,14 @@ def _rank_table(box: SearchBox) -> np.ndarray:
 
 
 def _check_memory(what: str, n: int, box: SearchBox, memory_mb: float) -> None:
+    # The clique engine's complement rows are as large as the adjacency.
     table = math.prod(2 * x + 1 for x in box.limits)
-    est_mb = (n * n / 8 + table) / (1024 * 1024)
+    est_mb = (2 * n * n / 8 + table) / (1024 * 1024)
     if est_mb > memory_mb:
         raise BoxTooLargeError(
-            f"{what} has {n} lattice points; adjacency and difference table "
-            f"would need about {est_mb:.4g} MiB, over the {memory_mb:g} MiB budget"
+            f"{what} has {n} lattice points; adjacency, its complement rows "
+            f"and difference table would need about {est_mb:.4g} MiB, "
+            f"over the {memory_mb:g} MiB budget"
         )
 
 
@@ -278,7 +281,8 @@ def build_compatibility_graph(
     sum to `rank`.
 
     Raises BoxTooLargeError with a size estimate when the adjacency
-    bitmasks plus the difference table would exceed `memory_mb`, and
+    bitmasks, the clique engine's complement rows of the same size and
+    the difference table would exceed `memory_mb`, and
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """
@@ -598,7 +602,8 @@ def ranked_max_family_size(
     for constant-rank families by the translation argument in the module
     docstring.  The certified value equals k^(w-1) wherever the search
     completes.  The box's difference table and its largest slice's
-    adjacency are charged against `memory_mb` before any slice is built;
+    adjacency and complement rows are charged against `memory_mb` before
+    any slice is built;
     going over, or running out of time while building a slice, returns a
     truncated result whose note is the build's error.
     """

@@ -186,6 +186,34 @@ class TestSearchCommand:
         )
         assert code == 2 and "width" in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-4"),
+            ("--node-limit", "-5"),
+            ("--time-limit", "-1"),
+            ("--time-limit", "nan"),
+            ("--memory-mb", "0"),
+            ("--memory-mb", "-8"),
+        ],
+    )
+    def test_bad_limits_are_usage_errors(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "search", "--k", "2", "--w", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
+
+    def test_zero_limits_are_accepted(self, capsys):
+        # A zero budget is a valid (if useless) limit: the run is truncated.
+        for flag in ("--node-limit", "--time-limit"):
+            code, out, _ = run_cli(
+                capsys, "search", "--k", "2", "--w", "3", flag, "0",
+                "--format", "records",
+            )
+            assert code == 3
+            assert records(out)["truncated"] == "yes"
+
 
 class TestBoundCommand:
     def test_table_frozen_values(self, capsys):

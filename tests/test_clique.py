@@ -28,8 +28,11 @@ def brute_max_clique(n, adj):
     return best, witness
 
 
-def brute_max_covering_clique(n, adj, covers):
-    """Size of the largest clique that meets every cover mask."""
+def brute_max_covering_clique(n, adj, covers, roots=None):
+    """Size of the largest clique that meets every cover mask.
+
+    With `roots`, only cliques whose least vertex is a root count.
+    """
     # is_clique[s] for every vertex subset s, built from s minus its
     # lowest vertex.
     is_clique = [True] * (1 << n)
@@ -40,6 +43,8 @@ def brute_max_covering_clique(n, adj, covers):
         v = low.bit_length() - 1
         is_clique[s] = is_clique[rest] and adj[v] & rest == rest
         if is_clique[s] and all(s & m for m in covers):
+            if roots is not None and v not in roots:
+                continue
             best = max(best, s.bit_count())
     return best
 
@@ -52,6 +57,68 @@ def random_instance(rng, max_n=14):
         density = rng.choice((0.1, 0.3, 0.6))
         covers.append(sum(1 << v for v in range(n) if rng.random() < density))
     return n, adj_from_edges(n, edges), covers
+
+
+def reference_max_clique(adj, n, roots, initial, covers):
+    """The engine's branch and bound, but every node records all its
+    candidates' colours.  The engine records only the vertices that can
+    branch, which must leave (size, members, nodes) exactly the same.
+    """
+    member = [sum(1 << j for j, m in enumerate(covers) if m >> v & 1) for v in range(n)]
+
+    def masks(bits):
+        return [m for j, m in enumerate(covers) if bits >> j & 1]
+
+    def color_sort(cand):
+        order, colors, color = [], [], 0
+        while cand:
+            color += 1
+            group = cand
+            while group:
+                low = group & -group
+                v = low.bit_length() - 1
+                cand ^= low
+                group &= ~adj[v]
+                group &= ~low
+                order.append(v)
+                colors.append(color)
+        return order, colors
+
+    best, members, nodes, stack = initial, (), 0, []
+
+    def expand(depth, cand, pend):
+        nonlocal best, members, nodes
+        nodes += 1
+        order, colors = color_sort(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if depth + colors[idx] <= best:
+                return
+            v = order[idx]
+            new_cand = cand & adj[v]
+            rest = pend & ~member[v]
+            stack.append(v)
+            if new_cand:
+                if all(m & new_cand for m in masks(rest)):
+                    expand(depth + 1, new_cand, rest)
+            elif not rest and depth + 1 > best:
+                best, members = depth + 1, tuple(sorted(stack))
+            stack.pop()
+            cand &= ~(1 << v)
+            if not all(m & cand for m in masks(pend & member[v])):
+                return
+
+    for i in roots:
+        cand = adj[i] >> (i + 1) << (i + 1)
+        pend = (1 << len(covers)) - 1 & ~member[i]
+        if 1 + cand.bit_count() <= best or not all(m & cand for m in masks(pend)):
+            continue
+        stack.append(i)
+        if cand:
+            expand(1, cand, pend)
+        elif best < 1:
+            best, members = 1, (i,)
+        stack.pop()
+    return best, members, nodes
 
 
 class TestExactness:
@@ -116,6 +183,43 @@ class TestCovers:
             empty += expect == 0
         # the loop also covers instances with no covering clique at all
         assert 0 < empty < 80
+
+    def test_matches_full_colouring_reference(self):
+        # Same size, members and node count as a search that colours
+        # every candidate, with incumbents, root subsets and covers.
+        rng = random.Random(6007)
+        improved = kept_initial = 0
+        for case in range(240):
+            n = rng.randrange(1, 41)
+            density = rng.choice((0.3, 0.5, 0.7, 0.85))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            adj = adj_from_edges(n, edges)
+            covers = [
+                sum(1 << v for v in range(n) if rng.random() < rng.choice((0.1, 0.3, 0.6)))
+                for _ in range(rng.randrange(0, 4))
+            ]
+            roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            if rng.random() < 0.3:
+                roots = list(range(n))
+            initial = rng.randrange(0, 6)
+            res = max_clique(adj, n, roots=roots, initial=initial, covers=covers)
+            expect = reference_max_clique(adj, n, roots, initial, covers)
+            assert (res.size, res.members, res.nodes) == expect, case
+            assert not res.truncated
+            if n <= 14:
+                brute = brute_max_covering_clique(n, adj, covers, set(roots))
+                assert res.size == max(initial, brute), case
+            if res.members:
+                improved += 1
+                assert len(res.members) == res.size > initial
+                assert min(res.members) in roots
+                assert all(adj[a] >> b & 1 for a, b in itertools.combinations(res.members, 2))
+                assert all(any(m >> v & 1 for v in res.members) for m in covers)
+            else:
+                kept_initial += 1
+                assert res.size == initial
+        # the cases include both outcomes of the incumbent
+        assert improved > 20 and kept_initial > 20
 
     def test_no_covers_is_plain_search(self):
         rng = random.Random(31)

@@ -186,6 +186,25 @@ class TestExistsFamily:
         assert res.best_size == 0
         assert any("box" in note for note in res.notes)
 
+    def test_memory_budget_charges_complement_rows(self):
+        # The clique engine's complement rows are as large as the
+        # adjacency, so a budget that fits the adjacency and the
+        # difference table but not both sets of rows truncates.
+        box = SearchBox((20, 20))
+        n, table = box.size, 41 * 41
+        adjacency_only = (n * n / 8 + table) / 2**20
+        full = (2 * n * n / 8 + table) / 2**20
+        budget = (adjacency_only + full) / 2
+        res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=budget))
+        assert res.truncated and not res.exhaustive
+        assert res.best_size == 0
+        (note,) = res.notes
+        assert "adjacency, its complement rows and difference table" in note
+        with pytest.raises(BoxTooLargeError):
+            build_compatibility_graph(2, box, memory_mb=budget)
+        res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=full * 1.01))
+        assert not res.truncated and res.best_size == 2
+
     def test_time_limit_covers_graph_build(self):
         # the auto box [0,27]^3 takes far longer than the limit to build
         limit = 0.05
@@ -206,7 +225,7 @@ class TestExistsFamily:
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes < 150_000
+        assert res.nodes == 76_111
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -271,6 +290,12 @@ class TestMaxFamily:
         res = max_family_in_box(2, compression_box(2, 3, 4))
         assert res.best_size == 4 and not res.exhaustive and not res.truncated
         assert verify(res.witness, 2).ok and len(res.witness) == 4
+
+    def test_in_box_node_count_w4(self):
+        # The node count pins every branching decision of the engine.
+        res = max_family_in_box(2, SearchBox((4,) * 4))
+        assert res.best_size == 8 and not res.truncated
+        assert res.nodes == 83_472
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)

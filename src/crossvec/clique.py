@@ -12,29 +12,49 @@ caller may therefore restrict the roots to any set R that is guaranteed
 to contain the smallest vertex of at least one maximum clique image
 under symmetries of the graph; the search stays exact.
 
-A caller may also pass `covers`, a sequence of vertex bitmasks: then
-only cliques that meet every mask are recorded, and the result is the
-largest such clique (size 0, or `initial`, when none exists).  The
-search keeps the masks the current clique does not meet yet and cuts a
-branch as soon as one of them is disjoint from the candidate set, since
-no extension could then meet it.  Removing vertex v from the candidates
-can only empty masks that contain v, so the branching loop re-checks
-just those.
+A caller may also pass `covers`, a sequence of vertex bitmasks, and
+`requires`, one bit set of cover indices per vertex: a clique counts
+only if it meets every cover that one of its members requires, and the
+result is the largest such clique (size 0, or `initial`, when none
+exists).  Without `requires` every vertex requires every cover, so the
+recorded cliques are those that meet all masks.  The search carries the
+covers the current clique meets (`met`) and the required ones it does
+not meet yet (`pend`); adding v gives
+pend' = (pend | requires[v]) & ~(met | member[v]), where member[v] is
+the set of covers that hold v.  A branch is cut as soon as a pending
+cover is disjoint from the candidate set, since no extension could then
+meet it.  Removing vertex v from the candidates can only empty masks
+that contain v, so the branching loop re-checks just those.  A clique
+is recorded when it has no candidates left, and also earlier when it
+has no pending cover but does not meet every cover: an extension could
+then require a cover it cannot meet, so the largest qualifying clique
+need not be maximal.  Without `requires` a clique with no pending cover
+meets every cover, and only the leaves are recorded.
+
+Count cut.  With `requires` given, the covers are split greedily, in
+index order, into classes of pairwise disjoint masks (a cover joins the
+first class it is disjoint from).  A vertex lies in at most one cover
+of a class, so a node with c pending covers in one class needs at least
+c more vertices; `need` is the largest such c.  Without `requires` no
+classes are formed and need is 0, so a plain cover search takes every
+branch that a full colouring takes (below).
 
 Colouring.  Each node colours its candidates greedily, one colour class
 at a time: a class takes the least candidate left, drops it and its
-neighbours from the class, and repeats.  A node at depth d branches on
-the coloured vertices from the highest colour down and returns at the
-first vertex whose colour c has d + c <= the incumbent size.  The
-incumbent only grows, so every vertex of a colour below
-k_min = incumbent - d + 1 (taken when the node starts) would end the
-loop; those classes are peeled off the candidates without being
-recorded, and only the vertices that can branch are kept.  One table
-per search, drop[q] = ~(adj[q - 1] | 1 << (q - 1)) indexed by
-bit_length (drop[0] = -1 is never read), removes a picked vertex and
-its neighbours from a class with a single AND.  The classes, their
-order and every branch taken are those of a full colouring, so node
-counts, sizes and witnesses cannot move; only time does.  The table
+neighbours from the class, and repeats.  A clique grown at a node of
+depth d from a vertex of colour c gains at most c vertices, so the node
+branches on the coloured vertices from the highest colour down and
+returns at the first vertex whose c has d + c <= the incumbent size.
+The incumbent only grows, so every vertex of a colour below
+k_min = max(incumbent - d + 1, need) (taken when the node starts)
+could not lead to a larger clique that meets its pending covers; those
+classes are peeled off the candidates without being recorded, and only
+the vertices that can branch are kept.  One table per search,
+drop[q] = ~(adj[q - 1] | 1 << (q - 1)) indexed by bit_length
+(drop[0] = -1 is never read), removes a picked vertex and its
+neighbours from a class with a single AND.  Apart from the count cut,
+the classes, their order and every branch taken are those of a full
+colouring, so node counts, sizes and witnesses match it.  The table
 costs as much memory as the adjacency.
 
 Workers > 1 splits the roots round-robin across processes.  Each worker
@@ -49,6 +69,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 
@@ -68,21 +89,25 @@ class CliqueResult:
     truncated: bool
 
 
-class _CoverSets(dict):
-    """Bit set of cover indices -> the tuple of those cover masks."""
-
-    def __init__(self, covers: tuple[int, ...]):
-        super().__init__()
-        self.covers = covers
-
-    def __missing__(self, bits):
-        masks = tuple(m for j, m in enumerate(self.covers) if bits >> j & 1)
-        self[bits] = masks
-        return masks
+def _classes(covers: tuple[int, ...]) -> tuple[int, ...]:
+    # Greedy split into pairwise disjoint masks; each class is a bit set
+    # of cover indices.
+    classes: list[int] = []
+    unions: list[int] = []
+    for j, mask in enumerate(covers):
+        for c, union in enumerate(unions):
+            if not union & mask:
+                classes[c] |= 1 << j
+                unions[c] |= mask
+                break
+        else:
+            classes.append(1 << j)
+            unions.append(mask)
+    return tuple(classes)
 
 
 class _Search:
-    def __init__(self, adj, n, covers, node_limit, deadline):
+    def __init__(self, adj, n, covers, requires, node_limit, deadline):
         self.adj = adj
         self.n = n
         self.node_limit = node_limit
@@ -95,18 +120,27 @@ class _Search:
         # drop[v + 1] clears v and its neighbours (module docstring).
         self.drop = [-1] + [~(adj[v] | 1 << v) for v in range(n)]
         covers = tuple(covers)
-        self.all_covers = (1 << len(covers)) - 1
-        self.cover_sets = _CoverSets(covers)
-        # member[v] has bit j set iff vertex v lies in covers[j].
-        self.member = [0] * n
+        self.all_covers = all_covers = (1 << len(covers)) - 1
+        if requires is None:
+            self.requires = [all_covers] * n
+            self.classes = ()
+        else:
+            self.requires = list(requires)
+            if len(self.requires) != n:
+                raise ValueError(f"requires has {len(self.requires)} entries, not {n}")
+            if self.requires and (min(self.requires) < 0 or max(self.requires) > all_covers):
+                raise ValueError(f"requires names a cover outside 0..{len(covers) - 1}")
+            self.classes = _classes(covers)
+        # covers[j + 1] is mask j, so a cover's bit finds its mask by
+        # bit_length, as drop[] does for vertices.
+        self.covers = (0,) + covers
         for j, mask in enumerate(covers):
             if mask < 0 or mask >> n:
                 raise ValueError(f"cover mask {j} has bits outside vertices 0..{n - 1}")
-            bits = bin(mask)[:1:-1]  # bits[v] == "1" iff v is in the mask
-            v = bits.find("1")
-            while v >= 0:
-                self.member[v] |= 1 << j
-                v = bits.find("1", v + 1)
+        # member[v] has bit j set iff vertex v lies in covers[j]: read
+        # vertex v's column of the covers' bit strings, last cover first.
+        rows = [bin(mask)[:1:-1].ljust(n, "0") for mask in reversed(covers)]
+        self.member = list(map(int, map("".join, zip(*rows)), repeat(2, n))) if rows else [0] * n
 
     def _tick(self):
         # Refuse a node before counting it, so nodes never exceeds the limit.
@@ -140,44 +174,65 @@ class _Search:
                     cand ^= low
                     group &= drop[low.bit_length()]
                 continue
+            size = len(order)
             while group:
                 low = group & -group
                 q = low.bit_length()
                 cand ^= low
                 group &= drop[q]
                 order.append(q - 1)
-                colors.append(color)
+            colors += [color] * (len(order) - size)
         return order, colors
 
-    def _expand(self, depth, cand, pend):
-        # Invariant: every cover in the bit set `pend` (those the stack
-        # does not meet yet) meets cand.
+    def _expand(self, depth, cand, met, pend):
+        # Invariant: every cover in the bit set `pend` (required by the
+        # stack, not met by it) meets cand.
         self._tick()
         adj = self.adj
         member = self.member
-        cover_sets = self.cover_sets
-        order, colors = self._color_sort(cand, self.best_size - depth + 1)
+        requires = self.requires
+        all_covers = self.all_covers
+        covers = self.covers
+        stack = self.stack
+        kmin = self.best_size - depth + 1
+        if pend.bit_count() > kmin:  # else no class can need more
+            for c in self.classes:
+                need = (pend & c).bit_count()
+                if need > kmin:
+                    kmin = need
+        order, colors = self._color_sort(cand, kmin)
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= self.best_size:
                 return
             v = order[idx]
             new_cand = cand & adj[v]
-            rest = pend & ~member[v]
-            self.stack.append(v)
-            if new_cand:
-                for m in cover_sets[rest]:
-                    if not m & new_cand:
-                        break
-                else:
-                    self._expand(depth + 1, new_cand, rest)
-            elif not rest and depth + 1 > self.best_size:
+            new_met = met | member[v]
+            rest = (pend | requires[v]) & ~new_met
+            stack.append(v)
+            if (
+                not rest
+                and depth + 1 > self.best_size
+                and (not new_cand or new_met != all_covers)
+            ):
                 self._record(depth + 1)
-            self.stack.pop()
+            if new_cand:
+                bits = rest
+                while bits:
+                    low = bits & -bits
+                    if not covers[low.bit_length()] & new_cand:
+                        break
+                    bits ^= low
+                else:
+                    self._expand(depth + 1, new_cand, new_met, rest)
+            stack.pop()
             cand &= ~(1 << v)
             # Only the pending covers that contain v can have emptied.
-            for m in cover_sets[pend & member[v]]:
-                if not m & cand:
+            bits = pend & member[v]
+            while bits:
+                low = bits & -bits
+                if not covers[low.bit_length()] & cand:
                     return
+                bits ^= low
 
     def run(self, roots, initial, stop_at):
         self.best_size = initial
@@ -192,14 +247,19 @@ class _Search:
                 cand = self.adj[i] & later
                 if 1 + cand.bit_count() <= self.best_size:
                     continue
-                pend = self.all_covers & ~self.member[i]
-                if not all(m & cand for m in self.cover_sets[pend]):
+                met = self.member[i]
+                pend = self.requires[i] & ~met
+                if not all(m & cand for j, m in enumerate(self.covers[1:]) if pend >> j & 1):
                     continue
                 self.stack.append(i)
-                if cand:
-                    self._expand(1, cand, pend)
-                elif self.best_size < 1:
+                if (
+                    not pend
+                    and self.best_size < 1
+                    and (not cand or met != self.all_covers)
+                ):
                     self._record(1)
+                if cand:
+                    self._expand(1, cand, met, pend)
                 self.stack.pop()
         except _TargetReached:
             self.stack.clear()
@@ -223,21 +283,22 @@ def max_clique(
     node_limit: int | None = None,
     time_limit: float | None = None,
     covers: Sequence[int] = (),
+    requires: Sequence[int] | None = None,
 ) -> CliqueResult:
     """Exact maximum clique, optionally stopping once `stop_at` is hit.
 
     `initial` is an incumbent size: only cliques strictly larger are
     recorded, so a result with size == initial has empty members (no
-    improvement found).  `roots` restricts top-level branching and
-    `covers` restricts the recorded cliques to those meeting every
-    mask, both as described in the module docstring; None and () mean
-    no restriction.  A cover mask with a bit outside 0..n-1 raises
-    ValueError.
+    improvement found).  `roots` restricts top-level branching, and
+    `covers` with `requires` restricts the recorded cliques, both as
+    described in the module docstring; None and () mean no restriction.
+    A cover mask with a bit outside 0..n-1, or a `requires` entry that
+    is not one bit set per vertex over the covers, raises ValueError.
     """
     if roots is None:
         roots = range(n)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(adj, n, covers, node_limit, deadline)
+    search = _Search(adj, n, covers, requires, node_limit, deadline)
     return search.run(list(roots), initial, stop_at)
 
 
@@ -255,13 +316,14 @@ def max_clique_parallel(
     time_limit: float | None = None,
     workers: int = 1,
     covers: Sequence[int] = (),
+    requires: Sequence[int] | None = None,
 ) -> CliqueResult:
     """Split roots across processes; exact results merge deterministically."""
     root_list = list(range(n) if roots is None else roots)
     covers = tuple(covers)
     if workers <= 1 or len(root_list) <= 1:
         return max_clique(
-            adj, n, root_list, initial, stop_at, node_limit, time_limit, covers
+            adj, n, root_list, initial, stop_at, node_limit, time_limit, covers, requires
         )
     chunks = [root_list[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
@@ -270,7 +332,7 @@ def max_clique_parallel(
         (
             list(adj), n, c, initial, stop_at,
             None if node_limit is None else (node_limit + i) // len(chunks),
-            time_limit, covers,
+            time_limit, covers, requires,
         )
         for i, c in enumerate(chunks)
     ]

@@ -52,8 +52,10 @@ the flattened table at index base(p) + offset(q) for the slice's q,
 never through a full box row.  Each row is packed into an int bitmask.
 The table's prod(2 L_i + 1) bytes, the n^2/8 bytes of adjacency and
 the clique engine's complement rows of the same size all count against
-the memory budget, and the deadline is checked between
-row blocks, so `time_limit` covers the build.
+the memory budget; with W > 1 workers each one also holds its own copy
+of the adjacency and the complement rows, (1 + 2W) n^2/8 bytes in all.
+The deadline is checked between row blocks, so `time_limit` covers the
+build.
 
 Symmetry pruning.  The clique engine branches on the minimum vertex, so
 roots can soundly be restricted to vertices that can be the
@@ -63,18 +65,45 @@ member has first coordinate 0; and for a uniform threshold on a cubical
 box, permuting coordinates is a graph automorphism, so the least member
 of the lexicographically least image is a nondecreasing tuple.
 
-Zero covers.  Every search box has lower limit 0 on each coordinate, so
-subtracting each coordinate's minimum maps a family in the box to one
-still in the box that takes the value 0 on every coordinate; it has the
-same size and, since both edge predicates depend only on differences,
-it is again a clique.  The clique engine is therefore given one cover
-per coordinate, the vertices at 0 there, and searches only cliques that
-meet all of them, cutting a branch once some cover it does not meet yet
-has no vertex left among the candidates.  This composes with the root
-restriction: translate first, then permute the coordinates; a
-permutation keeps "0 on every coordinate", so the argument above still
-finds a maximum covering clique whose least member is a root.  In a
-ranked search, translating a family of rank slice r lands it in a slice
+Level covers.  Every search box B has lower limit 0 on each
+coordinate.  Under a uniform threshold, any verifying family in B has a
+copy in B of the same size that is gap-free: on every coordinate its
+values form an interval {0..t_i}.  First translate each coordinate's
+minimum to 0; both edge predicates depend only on differences, so this
+is again a clique, and it stays in B.  Then run `compress` on each
+coordinate in turn.  Compression keeps size and verification, only
+lowers values and only on its own coordinate, so the family stays in
+B, the coordinates done earlier stay gap-free, and at its fixpoint the
+current one is gap-free too ("Box completeness").  The clique engine is
+therefore given one cover per coordinate i and level l, the vertices at
+l on i, and vertex v requires the covers (i, 0..v[i]) on every i.  It
+records only gap-free cliques, and cuts a branch once a required level
+has no vertex left among the candidates, or once one coordinate has
+more required levels unmet than the colour bound allows (a vertex meets
+one level per coordinate).  This composes with the root restriction:
+a gap-free family takes 0 on every coordinate, so its least member has
+first coordinate 0, and permuting the coordinates keeps a family
+gap-free, so the argument under "Symmetry pruning" still finds a
+maximum gap-free clique whose least member is a root.
+
+Clipping.  A gap-free family of m vectors has at most m values on each
+coordinate, so it lies in [0, m-1]^w.  A search with target m therefore
+builds and searches only C = B ∩ [0, m-1]^w, itself a box with lower
+limits 0.  If B holds a family of m vectors, C holds a gap-free one.  If
+not, every family in B has at most m - 1 vectors and a gap-free copy in
+C, so C's maximum is B's, and a refuted target still reports B's exact
+in-box maximum.  The root restriction and the level covers are argued
+on C alone; the roots are nondecreasing tuples only when C itself is
+cubical.  The result reports B, whose completeness is what makes a
+refutation global.
+
+Zero covers.  Compression does not keep a constant rank, and it is
+proved only for a uniform threshold, so ranked searches and
+per-coordinate thresholds are neither clipped nor given level covers.
+They keep the weaker consequence of translation alone: one cover per
+coordinate, the vertices at 0 there, which every vertex requires.  The
+root restriction composes with it as with level covers.  In a ranked
+search, translating a family of rank slice r lands it in a slice
 r' <= r (rank drops by the sum of the minima).  Slices are searched in
 increasing rank, and a slice is skipped only when it has no more points
 than the incumbent, so every family larger than the incumbent has an
@@ -214,12 +243,14 @@ def compression_box(k: int, w: int, m: int) -> SearchBox:
 class CompatibilityGraph:
     """Vertices are the lattice points of a box, or of one rank slice of
     it, in lexicographic index order; adjacency rows are int bitmasks
-    over vertex indices."""
+    over vertex indices.  `coords[i]` holds every vertex's coordinate i
+    as an integer array."""
 
     ks: tuple[int, ...]
     box: SearchBox
     vectors: tuple[Vector, ...]
     adj: list[int]
+    coords: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
@@ -256,14 +287,24 @@ def _rank_table(box: SearchBox) -> np.ndarray:
     return functools.reduce(np.add.outer, (np.arange(x + 1) for x in box.limits))
 
 
-def _check_memory(what: str, n: int, box: SearchBox, memory_mb: float) -> None:
+def _check_memory(
+    what: str, n: int, box: SearchBox, memory_mb: float, workers: int = 1
+) -> None:
     # The clique engine's complement rows are as large as the adjacency.
+    # With several workers, each one unpickles its own adjacency and
+    # builds its own complement rows next to the caller's adjacency.
     table = math.prod(2 * x + 1 for x in box.limits)
-    est_mb = (2 * n * n / 8 + table) / (1024 * 1024)
+    rows = 2 if workers <= 1 else 1 + 2 * workers
+    est_mb = (rows * n * n / 8 + table) / (1024 * 1024)
     if est_mb > memory_mb:
+        per_worker = (
+            f", with their own adjacency and complement rows for each of {workers} workers,"
+            if workers > 1
+            else ""
+        )
         raise BoxTooLargeError(
             f"{what} has {n} lattice points; adjacency, its complement rows "
-            f"and difference table would need about {est_mb:.4g} MiB, "
+            f"and difference table{per_worker} would need about {est_mb:.4g} MiB, "
             f"over the {memory_mb:g} MiB budget"
         )
 
@@ -326,7 +367,7 @@ def build_compatibility_graph(
         for row in np.packbits(rows, axis=1, bitorder="little"):
             adj.append(int.from_bytes(row.tobytes(), "little"))
     vectors = tuple(zip(*(c.tolist() for c in coords)))
-    return CompatibilityGraph(seq, box, vectors, adj)
+    return CompatibilityGraph(seq, box, vectors, adj, coords)
 
 
 def _roots(graph: CompatibilityGraph) -> list[int]:
@@ -409,6 +450,35 @@ def _remaining(limits: SearchLimits, start: float, nodes_used: int) -> SearchLim
     return SearchLimits(time_left, nodes_left, limits.memory_mb)
 
 
+def _covers(graph: CompatibilityGraph, levels: bool):
+    """The clique engine's covers and requires (module docstring).
+
+    With `levels`, one cover per coordinate i and level l, the vertices
+    at l on i, and each vertex requires the levels 0..v[i] on every i.
+    Otherwise one cover per coordinate, the vertices at 0 there, which
+    every vertex requires (requires None).
+    """
+    if not levels:
+        flags = np.stack([c == 0 for c in graph.coords])
+    else:
+        # Row (i, l) flags the vertices at level l on coordinate i.
+        flags = np.concatenate(
+            [c == np.arange(top + 1)[:, None] for c, top in zip(graph.coords, graph.box.limits)]
+        )
+    rows = np.packbits(flags, axis=1, bitorder="little")
+    covers = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    if not levels:
+        return covers, None
+    prefixes = []
+    first = 0  # index of this coordinate's level-0 cover
+    for c, top in zip(graph.coords, graph.box.limits):
+        # prefix[l] is the bit set of this coordinate's covers for levels 0..l.
+        prefix = np.array([((2 << l) - 1) << first for l in range(top + 1)], dtype=object)
+        prefixes.append(prefix[c])
+        first += top + 1
+    return covers, functools.reduce(np.bitwise_or, prefixes).tolist()
+
+
 def _search(
     seq, box: SearchBox, limits: SearchLimits, workers: int, stop_at=None, ranked=False
 ) -> SearchResult:
@@ -416,33 +486,37 @@ def _search(
 
     Searches the box as one slice, or with `ranked` its rank slices in
     increasing rank, skipping any slice no larger than the incumbent.
+    Under a uniform threshold a box search uses level covers, and with
+    a target `stop_at` it searches only box ∩ [0, stop_at - 1]^w
+    (module docstring, "Level covers" and "Clipping"); the result still
+    reports `box`.
     The result is never exhaustive: the entry points judge that.  Its
     notes hold only a build error's text, if the build raised one.
     """
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit
+    levels = len(set(seq)) == 1 and not ranked
+    searched = box
+    if levels and stop_at is not None:
+        searched = replace(box, limits=tuple(min(x, stop_at - 1) for x in box.limits))
     if ranked:
         what = f"largest rank slice of box {box}"
         slices = list(enumerate(np.bincount(_rank_table(box).ravel()).tolist()))
     else:
-        what = f"box {box}"
-        slices = [(None, box.size)]
+        what = f"box {searched}"
+        slices = [(None, searched.size)]
     best, witness, nodes, truncated, notes = 0, Family(box.width), 0, False, ()
     try:
-        _check_memory(what, max(n for _, n in slices), box, limits.memory_mb)
+        _check_memory(what, max(n for _, n in slices), searched, limits.memory_mb, workers)
         for rank, n in slices:
             if n <= best:
                 continue
-            graph = build_compatibility_graph(seq, box, limits.memory_mb, rank, deadline)
-            # Zero covers (module docstring): per coordinate, the vertices at 0.
-            covers = [
-                sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
-                for j in range(box.width)
-            ]
+            graph = build_compatibility_graph(seq, searched, limits.memory_mb, rank, deadline)
+            covers, requires = _covers(graph, levels)
             rem = _remaining(limits, start, nodes)
             res = max_clique_parallel(
                 graph.adj, graph.n, _roots(graph), best, stop_at,
-                rem.node_limit, rem.time_limit, workers, covers,
+                rem.node_limit, rem.time_limit, workers, covers, requires,
             )
             nodes += res.nodes
             truncated = truncated or res.truncated
@@ -484,7 +558,11 @@ def exists_family(
     used, so a completed refutation is global; in that case the result
     also carries the in-box maximum and its witness, which by
     completeness is the global maximum.  A found witness is returned as
-    soon as the engine hits size m.
+    soon as the engine hits size m.  Under a uniform threshold only the
+    part of the box inside [0, m-1]^w is built and searched, which
+    holds a copy of every family of the box with at most m vectors
+    (module docstring, "Clipping"); the result still reports the given
+    box, and a refuted target its exact in-box maximum.
     """
     seq = threshold_seq(ks, w)
     if m < 1:

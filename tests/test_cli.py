@@ -1,5 +1,10 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from crossvec import Family, family_from_text, verify
@@ -166,6 +171,16 @@ class TestSearchCommand:
         assert out1 == out2
         assert "elapsed" not in out1
 
+    def test_refuted_target_is_byte_identical(self, capsys):
+        # Refuting f(3,3) = 10 searches [0,9]^3 inside the auto box
+        # [0,27]^3, well within the default limits.
+        argv = ("search", "--k", "3", "--w", "3", "--target", "10", "--deterministic")
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 1
+        assert out1 == out2
+        assert "box             [0,27]^3" in out1
+
     def test_usage_errors(self, capsys):
         code, _, err = run_cli(capsys, "search", "--w", "3")
         assert code == 2 and "exactly one of --k or --ks" in err
@@ -216,6 +231,18 @@ class TestSearchCommand:
 
 
 class TestBoundCommand:
+    def test_python_dash_m_from_checkout(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossvec", "bound", "--k", "2", "--w", "4"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = dict(line.split(None, 1) for line in proc.stdout.splitlines())
+        assert table["lower"].strip() == "8" and table["upper"].strip() == "12"
+
+
     def test_table_frozen_values(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "--k", "2", "--w", "4", "--format", "records"

@@ -49,6 +49,48 @@ def brute_max_covering_clique(n, adj, covers, roots=None):
     return best
 
 
+def brute_max_requiring_clique(n, adj, covers, requires, roots=None):
+    """Size of the largest clique that meets every cover a member requires.
+
+    A subset DP: each subset's clique flag, required covers and met
+    covers come from the subset minus its lowest vertex.
+    """
+    member = [sum(1 << j for j, m in enumerate(covers) if m >> v & 1) for v in range(n)]
+    is_clique = [True] * (1 << n)
+    req = [0] * (1 << n)
+    met = [0] * (1 << n)
+    best = 0
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        v = low.bit_length() - 1
+        is_clique[s] = is_clique[rest] and adj[v] & rest == rest
+        req[s] = req[rest] | requires[v]
+        met[s] = met[rest] | member[v]
+        if is_clique[s] and not req[s] & ~met[s]:
+            if roots is not None and v not in roots:
+                continue
+            best = max(best, s.bit_count())
+    return best
+
+
+def random_levels(rng, n):
+    """Covers and prefix-shaped requires from random vertex levels.
+
+    Each of a few coordinates gives every vertex a level; cover (i, l)
+    holds the vertices at level l on coordinate i (it may be empty), and
+    a vertex requires the levels 0..its own on every coordinate.
+    """
+    covers, requires = [], [0] * n
+    for _ in range(rng.randrange(1, 4)):
+        top = rng.randrange(0, 4)
+        level = [rng.randrange(top + 1) for _ in range(n)]
+        for v in range(n):
+            requires[v] |= ((2 << level[v]) - 1) << len(covers)
+        covers += [sum(1 << v for v in range(n) if level[v] == l) for l in range(top + 1)]
+    return covers, requires
+
+
 def random_instance(rng, max_n=14):
     n = rng.randrange(1, max_n + 1)
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
@@ -240,6 +282,79 @@ class TestCovers:
     def test_mask_outside_vertices_rejected(self):
         with pytest.raises(ValueError):
             max_clique([0, 0], 2, covers=[0b100])
+
+
+class TestRequires:
+    def test_random_graphs_match_subset_dp(self):
+        # Prefix-shaped requires, as level covers give them, with root
+        # subsets and incumbents.
+        rng = random.Random(8128)
+        improved = kept_initial = internal = 0
+        for case in range(300):
+            n = rng.randrange(1, 14)
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            adj = adj_from_edges(n, edges)
+            covers, requires = random_levels(rng, n)
+            roots = list(range(n))
+            if rng.random() < 0.3:
+                roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            initial = rng.choice((0, 0, 1, 2))
+            res = max_clique(adj, n, roots, initial, covers=covers, requires=requires)
+            expect = brute_max_requiring_clique(n, adj, covers, requires, set(roots))
+            assert res.size == max(initial, expect), case
+            assert not res.truncated
+            if res.members:
+                improved += 1
+                ms = res.members
+                assert len(ms) == res.size > initial and min(ms) in roots
+                assert all(adj[a] >> b & 1 for a, b in itertools.combinations(ms, 2))
+                req = met = 0
+                for v in ms:
+                    req |= requires[v]
+                    met |= sum(1 << j for j, m in enumerate(covers) if m >> v & 1)
+                assert not req & ~met, case
+                # some best cliques are not maximal in the graph
+                internal += any(
+                    all(adj[u] >> v & 1 for v in ms) for u in range(n) if u not in ms
+                )
+            else:
+                kept_initial += 1
+                assert res.size == initial
+        assert improved > 100 and kept_initial > 20 and internal > 5
+
+    def test_count_cut_only_prunes(self):
+        # With every vertex requiring every cover the answer matches the
+        # plain cover search, and the count cut never adds nodes.
+        rng = random.Random(99)
+        for _ in range(60):
+            n = rng.randrange(1, 30)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            adj = adj_from_edges(n, edges)
+            covers, _ = random_levels(rng, n)
+            everything = [(1 << len(covers)) - 1] * n
+            plain = max_clique(adj, n, covers=covers)
+            cut = max_clique(adj, n, covers=covers, requires=everything)
+            assert cut.size == plain.size
+            assert cut.nodes <= plain.nodes
+
+    def test_serial_and_parallel_agree(self):
+        rng = random.Random(314)
+        for _ in range(4):
+            n = rng.randrange(8, 18)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+            adj = adj_from_edges(n, edges)
+            covers, requires = random_levels(rng, n)
+            kw = dict(covers=covers, requires=requires)
+            serial = max_clique_parallel(adj, n, workers=1, **kw)
+            par = max_clique_parallel(adj, n, workers=2, **kw)
+            assert (par.size, par.members) == (serial.size, serial.members)
+
+    def test_bad_requires_rejected(self):
+        with pytest.raises(ValueError):
+            max_clique([0, 0], 2, covers=[0b01, 0b10], requires=[0b11])
+        with pytest.raises(ValueError):
+            max_clique([0, 0], 2, covers=[0b01, 0b10], requires=[0b11, 0b100])
 
 
 class TestControls:

@@ -1,5 +1,6 @@
 """Normalization, search boxes, exact search, digraph and compression."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -205,10 +206,28 @@ class TestExistsFamily:
         res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=full * 1.01))
         assert not res.truncated and res.best_size == 2
 
+    def test_memory_budget_charges_each_worker(self):
+        # Every worker holds its own adjacency and complement rows next
+        # to the caller's adjacency: (1 + 2W) n^2 / 8 bytes for W workers.
+        box = SearchBox((20, 20))
+        n, table = box.size, 41 * 41
+        one_worker = (2 * n * n / 8 + table) / 2**20
+        two_workers = (5 * n * n / 8 + table) / 2**20
+        limits = SearchLimits(memory_mb=(one_worker + two_workers) / 2)
+        res = max_family_in_box(2, box, limits=limits, workers=2)
+        assert res.truncated and not res.exhaustive and res.best_size == 0
+        (note,) = res.notes
+        assert "for each of 2 workers" in note
+        res = max_family_in_box(2, box, limits=limits, workers=1)
+        assert not res.truncated and res.best_size == 2
+        res = max_family_in_box(2, box, SearchLimits(memory_mb=two_workers * 1.01), 2)
+        assert not res.truncated and res.best_size == 2
+
     def test_time_limit_covers_graph_build(self):
-        # the auto box [0,27]^3 takes far longer than the limit to build
+        # the auto box [0,27]^3 takes far longer than the limit to build;
+        # non-uniform thresholds search all of it
         limit = 0.05
-        res = exists_family(3, 3, 10, limits=SearchLimits(time_limit=limit))
+        res = exists_family((2, 3, 3), 3, 10, limits=SearchLimits(time_limit=limit))
         assert res.truncated and not res.exhaustive and not res.found
         assert res.elapsed <= limit + 0.3
         assert any("building the compatibility graph" in n for n in res.notes)
@@ -221,11 +240,23 @@ class TestExistsFamily:
         assert any("building the compatibility graph" in n for n in res.notes)
 
     def test_zero_cover_prunes_f33_refutation(self):
-        # Without the zero-cover cut this refutation takes 399,547 nodes.
+        # Without covers this refutation takes 399,547 nodes, with zero
+        # covers alone 76,111; level covers and the count cut take fewer.
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes == 76_111
+        assert res.nodes == 37_266
+
+    def test_target_clips_auto_box(self):
+        # The search runs on [0,9]^3 inside the auto box [0,27]^3; the
+        # result reports the auto box and its in-box maximum.
+        res = exists_family(3, 3, 10)
+        assert res.found is False and res.exhaustive and not res.truncated
+        assert res.best_size == 9 and len(res.witness) == 9
+        assert verify(res.witness, 3).ok
+        assert str(res.box) == "[0,27]^3"
+        assert res.box.derivation.startswith("auto")
+        assert res.nodes == 37_266
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -295,13 +326,56 @@ class TestMaxFamily:
         # The node count pins every branching decision of the engine.
         res = max_family_in_box(2, SearchBox((4,) * 4))
         assert res.best_size == 8 and not res.truncated
-        assert res.nodes == 83_472
+        assert res.nodes == 65_997
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
         two = max_family_size(2, 3, workers=2)
         assert one.best_size == two.best_size == 4
         assert one.witness == two.witness
+
+
+def zero_cover_max(k, limits):
+    """In-box maximum from the engine with zero covers only, all roots."""
+    graph = build_compatibility_graph(k, SearchBox(limits))
+    covers = [
+        sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
+        for j in range(len(limits))
+    ]
+    return max_clique(graph.adj, graph.n, covers=covers).size
+
+
+class TestLevelCovers:
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_small_boxes_match_zero_covers(self, k):
+        # Level covers, and for a target m the clip to [0, m-1]^w, give
+        # the zero-cover answers on every box up to [0,5]^2, [0,4]^3 and
+        # [0,2]^4: the in-box maximum, and every existence target with
+        # its in-box maximum.
+        boxes = 0
+        for w, hi in ((2, 5), (3, 4), (4, 2)):
+            for limits in itertools.product(range(hi + 1), repeat=w):
+                want = zero_cover_max(k, limits)
+                box = SearchBox(limits)
+                res = max_family_in_box(k, box)
+                assert res.best_size == want and not res.truncated, limits
+                for m in range(1, want + 2):
+                    hit = exists_family(k, w, m, box=box)
+                    assert hit.found is (m <= want) and not hit.truncated, (limits, m)
+                    assert hit.box == box and verify(hit.witness, k).ok
+                    assert all(0 <= v[i] <= limits[i] for v in hit.witness for i in range(w))
+                    if not hit.found:
+                        assert hit.best_size == want, (limits, m)
+                boxes += 1
+        assert boxes == 36 + 125 + 81
+
+    def test_thresholds_and_ranked_keep_zero_covers(self):
+        # Nothing is clipped for non-uniform thresholds: the whole auto
+        # box is searched.
+        res = exists_family((2, 3, 3), 3, 6)
+        assert res.found and str(res.box) == "[0,15]^3"
+        assert res.nodes == 176
+        assert ranked_max_family_size(3, 4).nodes == 1_239
 
 
 class TestRankedSearch:

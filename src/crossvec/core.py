@@ -16,21 +16,37 @@ everywhere) and "no k-crossing anywhere".
 
 Coordinates are 1-based in all user-facing text, error messages, and
 file I/O; internally tuples are indexed the normal 0-based way.
+
+Verification.  `verify` checks every pair of a family with one bitset
+kernel, whatever the family's size.  For each coordinate c it sorts the
+distinct values and builds prefix masks: prefix[t] is the bit set of
+the indices whose c-value is below the t-th value.  For the vector a at
+index i, `bisect` then gives, per coordinate, the indices below a[c],
+at or below a[c] - k_c, and below a[c] + k_c; OR-ed and AND-ed over the
+coordinates and restricted to the indices after i, these are the later
+vectors above a (comparable to it) and those that beat a by k_c on one
+coordinate and lose by k_c on another (crossing it).  Only "above" is
+needed because `Family.vectors` is lexicographically sorted: a later
+vector is never coordinatewise below an earlier one.  `bit_count` gives
+the number of violating pairs, and walking the set bits lists them in
+(i, j) order.  The masks are Python ints, so the check is exact for
+coordinates and thresholds of any size.  For n vectors with D distinct
+values per coordinate the masks take about w·D·n/16 bytes (35.8 MiB for
+the 15,625 vectors of the k = 5 inductive lift to width 7), and at most
+twice that: a mask is as long as its highest index.  Neither the kernel
+nor this module uses numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 Vector = tuple[int, ...]
-
-# Pair counts above this trigger the blocked numpy verification path.
-_NUMPY_VERIFY_CELLS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -44,7 +60,10 @@ class ParseError(ValueError):
 def _as_vector(v: Sequence[int]) -> Vector:
     vec = tuple(v)
     for c in vec:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        # numbers.Integral covers numpy's integer types as well.
+        if type(c) is not int and (
+            isinstance(c, bool) or not isinstance(c, numbers.Integral)
+        ):
             raise ValueError(f"vector coordinates must be integers, got {c!r}")
     return tuple(int(c) for c in vec)
 
@@ -189,7 +208,7 @@ def threshold_seq(ks, width: int) -> tuple[int, ...]:
     """
     if isinstance(ks, CrossingThresholds):
         seq = ks.ks
-    elif isinstance(ks, (int, np.integer)) and not isinstance(ks, bool):
+    elif isinstance(ks, numbers.Integral) and not isinstance(ks, bool):
         seq = (int(ks),) * width
     else:
         seq = _as_vector(ks)
@@ -259,87 +278,18 @@ class VerificationReport:
         return self.is_antichain and self.is_cross_free
 
 
-def _pair_kind(a: Vector, b: Vector, seq: tuple[int, ...]) -> str | None:
-    a_le_b = True
-    b_le_a = True
-    pos = False
-    neg = False
-    for x, y, k in zip(a, b, seq):
-        d = x - y
-        if d > 0:
-            a_le_b = False
-        elif d < 0:
-            b_le_a = False
-        if d >= k:
-            pos = True
-        elif -d >= k:
-            neg = True
-    if a_le_b or b_le_a:
-        return "comparable"
-    if pos and neg:
-        return "crossing"
-    return None
-
-
-def _verify_small(vs, seq, cap):
-    antichain = True
-    cross_free = True
-    violations = []
-    total = 0
-    for i in range(len(vs)):
-        a = vs[i]
-        for j in range(i + 1, len(vs)):
-            kind = _pair_kind(a, vs[j], seq)
-            if kind is None:
-                continue
-            if kind == "comparable":
-                antichain = False
-            else:
-                cross_free = False
-            total += 1
-            if len(violations) < cap:
-                violations.append((a, vs[j], kind))
-    return antichain, cross_free, violations, total
-
-
-def _verify_blocked(vs, seq, cap):
-    # Blocked pairwise comparison; per-pair semantics identical to
-    # _pair_kind, kept in sync by the randomized equivalence tests.
-    # Only called with every |coordinate| < 2^31, so every |difference|
-    # is < 2^32 and a threshold clamped at 2^32 still fits int64 and
-    # decides every pair exactly as the unclamped one.
-    coords = np.asarray(vs, dtype=np.int64)
-    ks_arr = np.asarray([min(k, 2**32) for k in seq], dtype=np.int64)
-    n, w = coords.shape
-    antichain = True
-    cross_free = True
-    violations: list[tuple[Vector, Vector, str]] = []
-    total = 0
-    cols = np.arange(n)[None, :]
-    block = max(1, _NUMPY_VERIFY_CELLS // max(1, n * w))
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        d = coords[i0:i1, None, :] - coords[None, :, :]
-        comparable = (d <= 0).all(axis=2) | (d >= 0).all(axis=2)
-        crossing = (d >= ks_arr).any(axis=2) & (d <= -ks_arr).any(axis=2)
-        upper = cols > np.arange(i0, i1)[:, None]
-        comparable &= upper
-        crossing &= upper
-        if comparable.any():
-            antichain = False
-        if crossing.any():
-            cross_free = False
-        bad = comparable | crossing
-        total += int(bad.sum())
-        if len(violations) < cap and bad.any():
-            for bi, j in np.argwhere(bad):
-                if len(violations) >= cap:
-                    break
-                a = vs[i0 + bi]
-                b = vs[j]
-                kind = "comparable" if comparable[bi, j] else "crossing"
-                violations.append((a, b, kind))
-    return antichain, cross_free, violations, total
+def _prefix_masks(column: Sequence[int]) -> tuple[list[int], list[int]]:
+    # values: the distinct entries of the column, ascending.  prefix[t]:
+    # the bit set of the indices whose entry is below values[t], so
+    # prefix[0] is empty and prefix[-1] holds every index.
+    values = sorted(set(column))
+    bits = dict.fromkeys(values, 0)
+    for i, x in enumerate(column):
+        bits[x] |= 1 << i
+    prefix = [0]
+    for x in values:  # popping frees each value's bits once they are in a prefix
+        prefix.append(prefix[-1] | bits.pop(x))
+    return values, prefix
 
 
 def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
@@ -347,17 +297,51 @@ def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
 
     ks may be a single int (uniform threshold), a sequence of positive
     ints, or a CrossingThresholds.  The flags cover all pairs even when
-    the violation list is truncated at `violation_cap`.
+    the violation list is truncated at `violation_cap`; it keeps the
+    first violating pairs (a, b) in the canonical order of a, then of b.
+
+    One bitset kernel serves every family size; it relies on the
+    family's lexicographic order, is exact for ints of any size, and
+    its masks take about w·D·n/16 bytes for n vectors with D distinct
+    values per coordinate (module docstring, "Verification").
     """
     seq = threshold_seq(ks, family.width)
     vs = family.vectors
-    ranks = family.rank_values()
     n = len(vs)
-    use_numpy = n * n * family.width >= _NUMPY_VERIFY_CELLS and all(
-        abs(c) < 2**31 for v in vs for c in v
-    )
-    check = _verify_blocked if use_numpy else _verify_small
-    antichain, cross_free, violations, total = check(vs, seq, violation_cap)
+    # The last vector has no later partner, so a family of fewer than
+    # two vectors needs no tables.
+    columns = zip(*vs) if n > 1 else ()
+    tables = [(*_prefix_masks(column), k) for column, k in zip(columns, seq)]
+    antichain = cross_free = True
+    violations: list[tuple[Vector, Vector, str]] = []
+    total = 0
+    later = (1 << n) - 1
+    for a in vs[:-1]:
+        later &= later - 1  # drop a's own bit: the indices after a
+        lower = pos = 0  # some b[c] < a[c]; some b[c] <= a[c] - k
+        short = -1  # every b[c] < a[c] + k
+        for (values, prefix, k), x in zip(tables, a):
+            lower |= prefix[bisect_left(values, x)]
+            pos |= prefix[bisect_right(values, x - k)]
+            short &= prefix[bisect_left(values, x + k)]
+        # A later b is never below a, because the vectors are sorted
+        # lexicographically: so b is comparable to a iff it is above a.
+        comparable = later & ~lower
+        crossing = later & pos & ~short  # pos already rules out "above"
+        if comparable:
+            antichain = False
+            total += comparable.bit_count()
+        if crossing:
+            cross_free = False
+            total += crossing.bit_count()
+        bad = comparable | crossing
+        while bad and len(violations) < violation_cap:
+            low = bad & -bad
+            j = low.bit_length() - 1
+            kind = "comparable" if comparable & low else "crossing"
+            violations.append((a, vs[j], kind))
+            bad ^= low
+    ranks = family.rank_values()
     return VerificationReport(
         size=n,
         is_antichain=antichain,

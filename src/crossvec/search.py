@@ -132,15 +132,15 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Iterable
 
 # max_clique is unused here but stays importable: perfbench wraps both.
 from .clique import max_clique, max_clique_parallel  # noqa: F401
 from .constructions import generalized_product_family
 from .core import Family, Vector, threshold_seq, verify
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BoxTooLargeError(RuntimeError):
@@ -266,11 +266,17 @@ _BLOCK_BYTES = 1 << 22
 # Per-coordinate code of a difference d: bit 0 d > 0, bit 1 d < 0,
 # bit 2 d >= k, bit 3 d <= -k.  OR-ed over the coordinates, the code
 # marks an edge iff it has both sign bits and not both threshold bits.
-_EDGE_CODE = np.array([c & 3 == 3 and c & 12 != 12 for c in range(16)])
+_EDGE_CODE = tuple(c & 3 == 3 and c & 12 != 12 for c in range(16))
+
+# numpy is imported inside the functions below that use it, so that
+# `import crossvec` (and the verify-only CLI commands) do not load it.
 
 
 def _template(seq, box: SearchBox) -> np.ndarray:
     """The edge table T over differences: T[d + L] for d in [-L, L]."""
+    import numpy as np
+
+    edge = np.array(_EDGE_CODE)
     codes = []
     for k, side in zip(seq, box.limits):
         d = np.arange(-side, side + 1)
@@ -279,11 +285,13 @@ def _template(seq, box: SearchBox) -> np.ndarray:
     rest = functools.reduce(np.bitwise_or.outer, codes[1:], np.zeros((), np.uint8))
     table = np.empty(tuple(2 * x + 1 for x in box.limits), dtype=bool)
     for j, code in enumerate(codes[0]):  # a slab at a time bounds temporaries
-        table[j] = _EDGE_CODE[rest | code]
+        table[j] = edge[rest | code]
     return table
 
 
 def _rank_table(box: SearchBox) -> np.ndarray:
+    import numpy as np
+
     return functools.reduce(np.add.outer, (np.arange(x + 1) for x in box.limits))
 
 
@@ -327,6 +335,9 @@ def build_compatibility_graph(
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     seq = threshold_seq(ks, box.width)
     shape = tuple(x + 1 for x in box.limits)
     if rank is None:
@@ -458,6 +469,8 @@ def _covers(graph: CompatibilityGraph, levels: bool):
     Otherwise one cover per coordinate, the vertices at 0 there, which
     every vertex requires (requires None).
     """
+    import numpy as np
+
     if not levels:
         flags = np.stack([c == 0 for c in graph.coords])
     else:
@@ -500,6 +513,8 @@ def _search(
     if levels and stop_at is not None:
         searched = replace(box, limits=tuple(min(x, stop_at - 1) for x in box.limits))
     if ranked:
+        import numpy as np
+
         what = f"largest rank slice of box {box}"
         slices = list(enumerate(np.bincount(_rank_table(box).ravel()).tolist()))
     else:

@@ -8,7 +8,7 @@ computes.
 
 import itertools
 
-from crossvec import Family, Poset
+from crossvec import Family, Poset, VerificationReport
 
 
 def pair_relation(a, b, seq):
@@ -31,6 +31,31 @@ def relation_table(vectors, seq):
         for j in range(i + 1, len(vectors)):
             out[(i, j)] = pair_relation(vectors[i], vectors[j], seq)
     return out
+
+
+def oracle_report(family, seq, cap=100):
+    """What `verify` must return, from pair_relation over every pair i < j.
+
+    Violations are listed in the family's canonical (i, j) order and cut
+    at `cap`; the flags and the truncation mark still cover every pair.
+    """
+    vs = family.vectors
+    bad = [
+        (vs[i], vs[j], kind)
+        for (i, j), kind in relation_table(vs, seq).items()
+        if kind in ("comparable", "crossing")
+    ]
+    kinds = {kind for _, _, kind in bad}
+    ranks = frozenset(sum(v) for v in vs)
+    return VerificationReport(
+        size=len(vs),
+        is_antichain="comparable" not in kinds,
+        is_cross_free="crossing" not in kinds,
+        is_ranked=len(ranks) <= 1,
+        rank_values=ranks,
+        violations=tuple(bad[:cap]),
+        violations_truncated=len(bad) > cap,
+    )
 
 
 def box_points(limits):

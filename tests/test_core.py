@@ -4,7 +4,10 @@ import io
 import random
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossvec import (
     CrossingThresholds,
@@ -22,9 +25,9 @@ from crossvec import (
     save_family,
     verify,
 )
-from crossvec.core import _verify_blocked, _verify_small, threshold_seq
+from crossvec.core import threshold_seq
 
-from helpers import pair_relation, random_verified_family
+from helpers import oracle_report, pair_relation, random_verified_family
 
 
 def test_rank():
@@ -103,6 +106,24 @@ class TestThresholds:
             threshold_seq((1, 2), 3)
         with pytest.raises(ValueError):
             threshold_seq(0, 2)
+
+    def test_numpy_integers_accepted(self):
+        assert threshold_seq(np.int64(3), 2) == (3, 3)
+        assert threshold_seq((np.int64(2), np.int32(5)), 2) == (2, 5)
+        assert all(type(k) is int for k in threshold_seq(np.int64(3), 2))
+        f = Family(2, [(np.int64(1), np.int64(-2)), (0, np.uint8(4))])
+        assert f.vectors == ((0, 4), (1, -2))
+        assert all(type(c) is int for v in f for c in v)
+        assert verify(f, np.int64(2)).ok
+
+    def test_bool_and_float_rejected(self):
+        for bad in (True, 2.0, np.float64(2.0), np.bool_(True)):
+            with pytest.raises(ValueError):
+                threshold_seq((2, bad), 2)
+            with pytest.raises(ValueError):
+                Family(1, [(bad,)])
+            with pytest.raises((TypeError, ValueError)):
+                threshold_seq(bad, 2)
 
 
 class TestPredicates:
@@ -188,47 +209,71 @@ class TestVerify:
         assert not rep.is_antichain
         assert len(rep.violations) == 10
         assert rep.violations_truncated
+        # the first pairs in (i, j) order, as the CLI prints them
+        assert rep.violations[:3] == (
+            ((0, 0), (1, 1), "comparable"),
+            ((0, 0), (2, 2), "comparable"),
+            ((0, 0), (3, 3), "comparable"),
+        )
+        assert rep.violations[-1] == ((0, 0), (10, 10), "comparable")
         full = verify(f, 2, violation_cap=1000)
         assert len(full.violations) == 30 * 29 // 2
         assert not full.violations_truncated
+        assert [(a, b) for a, b, _ in full.violations[28:31]] == [
+            ((0, 0), (29, 29)),
+            ((1, 1), (2, 2)),
+            ((1, 1), (3, 3)),
+        ]
+        assert full.violations[:10] == rep.violations
+        assert verify(f, 2, violation_cap=0).violations == ()
 
-    def test_small_and_blocked_paths_agree(self):
+    def test_random_families_match_oracle(self):
         rng = random.Random(3141)
         for _ in range(20):
             n = rng.randrange(2, 40)
-            vs = tuple(
-                tuple(rng.randrange(-5, 6) for _ in range(3)) for _ in range(n)
-            )
-            vs = tuple(dict.fromkeys(vs))
+            vs = {tuple(rng.randrange(-5, 6) for _ in range(3)) for _ in range(n)}
+            f = Family(3, vs)
             seq = (2, 2, 3)
-            assert _verify_small(vs, seq, 10**9) == _verify_blocked(vs, seq, 10**9)
+            for cap in (0, 1, 3, 10**9):
+                assert verify(f, seq, violation_cap=cap) == oracle_report(f, seq, cap)
 
-    def test_large_family_blocked_path(self):
-        # 625 vectors puts n*n*w over the packed-path threshold
+    def test_large_family_matches_oracle(self):
         f = product_family(25, 3)
-        assert len(f) == 625 and len(f) * len(f) * 3 >= 1_000_000
+        assert len(f) == 625
         rep = verify(f, 25)
         assert rep.ok and rep.size == 625
-        seq = (25, 25, 25)
-        small = _verify_small(f.vectors, seq, 100)
-        assert small == _verify_blocked(f.vectors, seq, 100)
+        assert rep == oracle_report(f, (25, 25, 25))
         bad = Family(3, f.vectors + ((1000, 1000, 1000),))
         rep2 = verify(bad, 25)
         assert not rep2.ok and not rep2.is_antichain
+        assert rep2 == oracle_report(bad, (25, 25, 25))
 
     def test_threshold_beyond_int64(self):
-        # Differences stay below 2^32 on the blocked path, so a threshold
-        # far above int64 decides every pair as the small path does.
+        # The kernel compares Python ints, so no threshold or coordinate
+        # size is clamped or rounded.
         f = product_family(25, 3)
         bad = Family(3, f.vectors + ((1000, 1000, 1000), (2000, -2000, 0)))
         for fam, seq in ((f, (2**70,) * 3), (bad, (2**70, 3, 2**40))):
-            rep = verify(fam, seq)
-            small = _verify_small(fam.vectors, seq, 100)
-            assert small == _verify_blocked(fam.vectors, seq, 100)
-            assert (rep.is_antichain, rep.is_cross_free) == small[:2]
+            assert verify(fam, seq) == oracle_report(fam, seq)
         assert verify(f, 2**70).ok
         rep = verify(bad, (2**70, 3, 2**40))
         assert rep.is_cross_free and not rep.is_antichain
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_property(self, data):
+        w = data.draw(st.integers(1, 5), label="w")
+        coord = st.one_of(st.integers(-4, 4), st.integers(-(2**66), 2**66))
+        vs = data.draw(
+            st.sets(st.tuples(*[coord] * w), max_size=40), label="vectors"
+        )
+        seq = data.draw(
+            st.tuples(*[st.one_of(st.integers(1, 4), st.integers(1, 2**70))] * w),
+            label="ks",
+        )
+        cap = data.draw(st.sampled_from((0, 1, 3, 100)), label="cap")
+        f = Family(w, vs)
+        assert verify(f, seq, violation_cap=cap) == oracle_report(f, seq, cap)
 
 
 class TestDualOrders:

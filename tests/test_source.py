@@ -1,6 +1,9 @@
 """Checks over the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import crossvec
@@ -21,3 +24,14 @@ def test_no_assert_statements():
         ]
     assert SOURCES
     assert not found, found
+
+
+def test_import_does_not_load_numpy():
+    # Only the graph build of `search` needs numpy; importing the package
+    # and its CLI (and so running `crossvec verify`) must not load it.
+    code = "import sys, crossvec, crossvec.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(crossvec.__file__).parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

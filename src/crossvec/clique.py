@@ -4,13 +4,21 @@ Vertices are 0..n-1 and adjacency rows are Python ints used as bit sets,
 which keeps the inner loops on C-level big-int operations.  The solver
 is the classic greedy-colouring branch and bound: candidate sets are
 colour-sorted, the colour number bounds any clique extension, and
-branches that cannot beat the incumbent are cut.
+branches that cannot beat the incumbent are cut.  Rows must be
+loop-free (row v never holds bit v); a self-loop raises ValueError.
 
-Branching at the top level is on the minimum vertex: root i explores
-exactly the cliques whose smallest vertex (in index order) is i.  A
-caller may therefore restrict the roots to any set R that is guaranteed
-to contain the smallest vertex of at least one maximum clique image
-under symmetries of the graph; the search stays exact.
+Vertex order.  The engine works from the top bit down, because a bit
+set's largest vertex is the one Python finds without allocating:
+q = x.bit_length() is vertex q - 1.  Branching at the top level is on
+the maximum vertex: root i explores exactly the cliques whose largest
+vertex (in index order) is i, and the default roots are n-1 down to 0.
+A caller may therefore restrict the roots to any set R that is
+guaranteed to contain the largest vertex of at least one maximum clique
+image under symmetries of the graph; the search stays exact.  The
+engine is the mirror image (i -> n-1-i) of one that branches from the
+least vertex: on the mirrored instance it takes the same branches, in
+the same order, and counts the same nodes.  `search` lists its lattice
+points in decreasing lexicographic order for that reason.
 
 A caller may also pass `covers`, a sequence of vertex bitmasks, and
 `requires`, one bit set of cover indices per vertex: a clique counts
@@ -23,12 +31,15 @@ not meet yet (`pend`); adding v gives
 pend' = (pend | requires[v]) & ~(met | member[v]), where member[v] is
 the set of covers that hold v.  A branch is cut as soon as a pending
 cover is disjoint from the candidate set, since no extension could then
-meet it.  Removing vertex v from the candidates can only empty masks
-that contain v, so the branching loop re-checks just those.  A clique
-is recorded when it has no candidates left, and also earlier when it
-has no pending cover but does not meet every cover: an extension could
-then require a cover it cannot meet, so the largest qualifying clique
-need not be maximal.  Without `requires` a clique with no pending cover
+meet it.  Each node first tests the cover that last cut one of its
+children (the hot cover), then the other pending ones from the top bit
+down; the test is all-or-nothing, so the order changes only its cost.
+Removing vertex v from the candidates can only empty masks that
+contain v, so the branching loop re-checks just those.  A clique is
+recorded when it has no candidates left, and also earlier when it has
+no pending cover but does not meet every cover: an extension could then
+require a cover it cannot meet, so the largest qualifying clique need
+not be maximal.  Without `requires` a clique with no pending cover
 meets every cover, and only the leaves are recorded.
 
 Count cut.  With `requires` given, the covers are split greedily, in
@@ -40,7 +51,7 @@ classes are formed and need is 0, so a plain cover search takes every
 branch that a full colouring takes (below).
 
 Colouring.  Each node colours its candidates greedily, one colour class
-at a time: a class takes the least candidate left, drops it and its
+at a time: a class takes the largest candidate left, drops it and its
 neighbours from the class, and repeats.  A clique grown at a node of
 depth d from a vertex of colour c gains at most c vertices, so the node
 branches on the coloured vertices from the highest colour down and
@@ -50,18 +61,25 @@ k_min = max(incumbent - d + 1, need) (taken when the node starts)
 could not lead to a larger clique that meets its pending covers; those
 classes are peeled off the candidates without being recorded, and only
 the vertices that can branch are kept.  One table per search,
-drop[q] = ~(adj[q - 1] | 1 << (q - 1)) indexed by bit_length
-(drop[0] = -1 is never read), removes a picked vertex and its
-neighbours from a class with a single AND.  Apart from the count cut,
-the classes, their order and every branch taken are those of a full
-colouring, so node counts, sizes and witnesses match it.  The table
-costs as much memory as the adjacency.
+drop[q] = the vertices below q - 1 that are not its neighbours, indexed
+by bit_length (drop[0] = 0 is never read), removes a picked vertex and
+its neighbours from a class with a single AND.  The pick is the class's
+largest vertex, so the lower part of each row is enough, and the table
+takes about half the memory of the adjacency.  A class
+leaves the candidates with the union nb of its members' rows: it is
+independent and takes every candidate that is no member's neighbour, so
+the candidates it leaves are exactly those in nb, and cand &= nb
+removes it (this is where a self-loop would keep a member in cand).
+Apart from the count cut, the classes, their order and every branch
+taken are those of a full colouring, so node counts, sizes and
+witnesses match it.
 
 Workers > 1 splits the roots round-robin across processes.  Each worker
-finishes its share, so sizes are schedule-independent; the merged
-witness is the lexicographically least among the best found.  A node
-limit is a budget for the whole call: the workers get shares of it that
-sum to it, so a node count never exceeds the limit.
+finishes its share, so sizes are schedule-independent; among equal
+sizes the merged witness is the member tuple that is least once the
+indices are mirrored.  A node limit is a budget for the whole call: the
+workers get shares of it that sum to it, so a node count never exceeds
+the limit.
 """
 
 from __future__ import annotations
@@ -109,7 +127,6 @@ def _classes(covers: tuple[int, ...]) -> tuple[int, ...]:
 class _Search:
     def __init__(self, adj, n, covers, requires, node_limit, deadline):
         self.adj = adj
-        self.n = n
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
@@ -117,8 +134,16 @@ class _Search:
         self.best: tuple[int, ...] = ()
         self.stack: list[int] = []
         self.stop_at: int | None = None
-        # drop[v + 1] clears v and its neighbours (module docstring).
-        self.drop = [-1] + [~(adj[v] | 1 << v) for v in range(n)]
+        # drop[v + 1] keeps the vertices below v that are not its
+        # neighbours; removing a colour class by its members' rows needs
+        # loop-free rows (module docstring, "Colouring").
+        self.drop = drop = [0]
+        for v in range(n):
+            row = adj[v]
+            if row >> v & 1:
+                raise ValueError(f"adjacency row {v} holds its own bit (a self-loop)")
+            below = (1 << v) - 1
+            drop.append(row & below ^ below)
         covers = tuple(covers)
         self.all_covers = all_covers = (1 << len(covers)) - 1
         if requires is None:
@@ -161,6 +186,9 @@ class _Search:
         # Greedy colouring; vertices of colour >= kmin come back grouped
         # by colour class, so colors[] is nondecreasing and bounds the
         # clique extension.  Lower classes are peeled off unrecorded.
+        # A class leaves in cand exactly the neighbours of its members
+        # (module docstring), so cand &= nb removes it.
+        adj = self.adj
         drop = self.drop
         order = []
         colors = []
@@ -168,20 +196,21 @@ class _Search:
         while cand:
             color += 1
             group = cand
+            nb = 0
             if color < kmin:
                 while group:
-                    low = group & -group
-                    cand ^= low
-                    group &= drop[low.bit_length()]
-                continue
-            size = len(order)
-            while group:
-                low = group & -group
-                q = low.bit_length()
-                cand ^= low
-                group &= drop[q]
-                order.append(q - 1)
-            colors += [color] * (len(order) - size)
+                    q = group.bit_length()
+                    group &= drop[q]
+                    nb |= adj[q - 1]
+            else:
+                size = len(order)
+                while group:
+                    q = group.bit_length()
+                    group &= drop[q]
+                    nb |= adj[q - 1]
+                    order.append(q - 1)
+                colors += [color] * (len(order) - size)
+            cand &= nb
         return order, colors
 
     def _expand(self, depth, cand, met, pend):
@@ -201,6 +230,7 @@ class _Search:
                 if need > kmin:
                     kmin = need
         order, colors = self._color_sort(cand, kmin)
+        hot = 0  # the bit of the cover that last cut a child here
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= self.best_size:
                 return
@@ -217,34 +247,34 @@ class _Search:
                 self._record(depth + 1)
             if new_cand:
                 bits = rest
+                q = hot.bit_length() if bits & hot else bits.bit_length()
                 while bits:
-                    low = bits & -bits
-                    if not covers[low.bit_length()] & new_cand:
+                    if not covers[q] & new_cand:
+                        hot = 1 << (q - 1)
                         break
-                    bits ^= low
+                    bits ^= 1 << (q - 1)
+                    q = bits.bit_length()
                 else:
                     self._expand(depth + 1, new_cand, new_met, rest)
             stack.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v
             # Only the pending covers that contain v can have emptied.
             bits = pend & member[v]
             while bits:
-                low = bits & -bits
-                if not covers[low.bit_length()] & cand:
+                q = bits.bit_length()
+                if not covers[q] & cand:
                     return
-                bits ^= low
+                bits ^= 1 << (q - 1)
 
     def run(self, roots, initial, stop_at):
         self.best_size = initial
         self.stop_at = stop_at
         truncated = False
-        full = (1 << self.n) - 1
         try:
             for i in roots:
                 if self.stop_at is not None and self.best_size >= self.stop_at:
                     break
-                later = (full >> (i + 1)) << (i + 1)
-                cand = self.adj[i] & later
+                cand = self.adj[i] & ((1 << i) - 1)
                 if 1 + cand.bit_count() <= self.best_size:
                     continue
                 met = self.member[i]
@@ -292,11 +322,12 @@ def max_clique(
     improvement found).  `roots` restricts top-level branching, and
     `covers` with `requires` restricts the recorded cliques, both as
     described in the module docstring; None and () mean no restriction.
-    A cover mask with a bit outside 0..n-1, or a `requires` entry that
-    is not one bit set per vertex over the covers, raises ValueError.
+    A self-loop (row v holding bit v), a cover mask with a bit outside
+    0..n-1, or a `requires` entry that is not one bit set per vertex
+    over the covers raises ValueError.
     """
     if roots is None:
-        roots = range(n)
+        roots = range(n - 1, -1, -1)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     search = _Search(adj, n, covers, requires, node_limit, deadline)
     return search.run(list(roots), initial, stop_at)
@@ -319,7 +350,7 @@ def max_clique_parallel(
     requires: Sequence[int] | None = None,
 ) -> CliqueResult:
     """Split roots across processes; exact results merge deterministically."""
-    root_list = list(range(n) if roots is None else roots)
+    root_list = list(range(n - 1, -1, -1) if roots is None else roots)
     covers = tuple(covers)
     if workers <= 1 or len(root_list) <= 1:
         return max_clique(
@@ -339,8 +370,9 @@ def max_clique_parallel(
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(pool.map(_worker, jobs))
     best_size = max(r.size for r in results)
-    # Among equal sizes prefer the lexicographically least member tuple.
-    members = min(r.members for r in results if r.size == best_size)
+    # Among equal sizes prefer the member tuple that is least when the
+    # indices are mirrored (i -> n-1-i): the one whose reversal is largest.
+    members = max((r.members for r in results if r.size == best_size), key=lambda m: m[::-1])
     return CliqueResult(
         size=best_size,
         members=members,

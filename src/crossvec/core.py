@@ -204,14 +204,20 @@ def threshold_seq(ks, width: int) -> tuple[int, ...]:
 
     A bare int is taken as the uniform threshold.  Raw sequences are only
     required to be positive (sortedness is a property of the canonical
-    CrossingThresholds type, not of the predicates).
+    CrossingThresholds type, not of the predicates).  Anything else,
+    such as a bare bool or float, raises ValueError.
     """
     if isinstance(ks, CrossingThresholds):
         seq = ks.ks
     elif isinstance(ks, numbers.Integral) and not isinstance(ks, bool):
         seq = (int(ks),) * width
     else:
-        seq = _as_vector(ks)
+        try:
+            seq = _as_vector(ks)
+        except TypeError:  # a bare bool, float or other non-sequence
+            raise ValueError(
+                f"thresholds must be an int or a sequence of ints, got {ks!r}"
+            ) from None
     if len(seq) != width:
         raise ValueError(f"thresholds have width {len(seq)}, expected {width}")
     for k in seq:

@@ -49,21 +49,29 @@ order.  The builder computes T once per graph and copies the windows
 of a block of rows at a time (never an n x n matrix).  A rank slice
 keeps a small part of each window, so its rows are read straight from
 the flattened table at index base(p) + offset(q) for the slice's q,
-never through a full box row.  Each row is packed into an int bitmask.
+never through a full box row.  The clique engine works from the top
+bit down (see `clique`), so the graph lists the points in decreasing
+lexicographic order: each row is packed most significant bit first and
+read as a big-endian int, which puts lexicographic position j on bit
+n-1-j, and the list of rows and the coordinate arrays are reversed, so
+vertex i is the point at lexicographic position n-1-i on every side.
 The table's prod(2 L_i + 1) bytes, the n^2/8 bytes of adjacency and
-the clique engine's complement rows of the same size all count against
-the memory budget; with W > 1 workers each one also holds its own copy
-of the adjacency and the complement rows, (1 + 2W) n^2/8 bytes in all.
-The deadline is checked between row blocks, so `time_limit` covers the
-build.
+the clique engine's complement rows all count against the memory
+budget.  The complement rows are charged at the adjacency's size,
+though they keep only the lower half of each row; with W > 1 workers
+each one also holds its own copy of the adjacency and the complement
+rows, (1 + 2W) n^2/8 bytes in all.  The deadline is checked between
+row blocks, so `time_limit` covers the build.
 
-Symmetry pruning.  The clique engine branches on the minimum vertex, so
-roots can soundly be restricted to vertices that can be the
-lexicographically least member of some normalized image of a maximum
-family: normalization gives every coordinate minimum 0, so the least
-member has first coordinate 0; and for a uniform threshold on a cubical
-box, permuting coordinates is a graph automorphism, so the least member
-of the lexicographically least image is a nondecreasing tuple.
+Symmetry pruning.  The clique engine branches on the maximum vertex,
+which in the graph's decreasing lexicographic order is the
+lexicographically least point.  So roots can soundly be restricted to
+vertices that can be the lexicographically least member of some
+normalized image of a maximum family: normalization gives every
+coordinate minimum 0, so the least member has first coordinate 0; and
+for a uniform threshold on a cubical box, permuting coordinates is a
+graph automorphism, so the least member of the lexicographically least
+image is a nondecreasing tuple.
 
 Level covers.  Every search box B has lower limit 0 on each
 coordinate.  Under a uniform threshold, any verifying family in B has a
@@ -242,9 +250,11 @@ def compression_box(k: int, w: int, m: int) -> SearchBox:
 @dataclass
 class CompatibilityGraph:
     """Vertices are the lattice points of a box, or of one rank slice of
-    it, in lexicographic index order; adjacency rows are int bitmasks
-    over vertex indices.  `coords[i]` holds every vertex's coordinate i
-    as an integer array."""
+    it, in decreasing lexicographic order, so that the clique engine's
+    largest vertex is the least point (module docstring, "Graph build");
+    adjacency rows are int bitmasks over vertex indices, vertex i on
+    bit i.  `coords[i]` holds every vertex's coordinate i as an integer
+    array in the same order."""
 
     ks: tuple[int, ...]
     box: SearchBox
@@ -298,7 +308,8 @@ def _rank_table(box: SearchBox) -> np.ndarray:
 def _check_memory(
     what: str, n: int, box: SearchBox, memory_mb: float, workers: int = 1
 ) -> None:
-    # The clique engine's complement rows are as large as the adjacency.
+    # The clique engine's complement rows are charged at the adjacency's
+    # size, which bounds them.
     # With several workers, each one unpickles its own adjacency and
     # builds its own complement rows next to the caller's adjacency.
     table = math.prod(2 * x + 1 for x in box.limits)
@@ -330,8 +341,8 @@ def build_compatibility_graph(
     sum to `rank`.
 
     Raises BoxTooLargeError with a size estimate when the adjacency
-    bitmasks, the clique engine's complement rows of the same size and
-    the difference table would exceed `memory_mb`, and
+    bitmasks, the clique engine's complement rows (charged at the same
+    size) and the difference table would exceed `memory_mb`, and
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """
@@ -364,6 +375,10 @@ def build_compatibility_graph(
         )
         cells = template.ravel()
         block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    # Packed most significant bit first, position j of a row (in
+    # lexicographic order) lands on bit n-1-j once the pad bits are
+    # shifted out; reversing the row list then puts vertex i at bit i.
+    pad = -n % 8
     adj: list[int] = []
     for i0 in range(0, n, block):
         if deadline is not None and time.monotonic() > deadline:
@@ -375,8 +390,10 @@ def build_compatibility_graph(
             rows = windows[tuple(c[i0 : i0 + block] for c in coords)].reshape(-1, n)
         else:
             rows = cells[bases[i0 : i0 + block, None] + offsets]
-        for row in np.packbits(rows, axis=1, bitorder="little"):
-            adj.append(int.from_bytes(row.tobytes(), "little"))
+        for row in np.packbits(rows, axis=1):
+            adj.append(int.from_bytes(row.tobytes(), "big") >> pad)
+    adj.reverse()
+    coords = tuple(c[::-1] for c in coords)
     vectors = tuple(zip(*(c.tolist() for c in coords)))
     return CompatibilityGraph(seq, box, vectors, adj, coords)
 
@@ -386,8 +403,10 @@ def _roots(graph: CompatibilityGraph) -> list[int]:
     # always; nondecreasing tuples additionally when the thresholds are
     # uniform and the box cubical (coordinate permutations then act on
     # the graph).
+    # They come in decreasing index order, which is increasing
+    # lexicographic order.
     vecs = graph.vectors
-    roots = [i for i, v in enumerate(vecs) if v[0] == 0]
+    roots = [i for i in range(graph.n - 1, -1, -1) if vecs[i][0] == 0]
     if (
         graph.box.width >= 2
         and len(set(graph.ks)) == 1

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossvec.clique import max_clique, max_clique_parallel
 
@@ -31,16 +33,15 @@ def brute_max_clique(n, adj):
 def brute_max_covering_clique(n, adj, covers, roots=None):
     """Size of the largest clique that meets every cover mask.
 
-    With `roots`, only cliques whose least vertex is a root count.
+    With `roots`, only cliques whose largest vertex is a root count.
     """
     # is_clique[s] for every vertex subset s, built from s minus its
-    # lowest vertex.
+    # highest vertex.
     is_clique = [True] * (1 << n)
     best = 0
     for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        v = low.bit_length() - 1
+        v = s.bit_length() - 1
+        rest = s ^ 1 << v
         is_clique[s] = is_clique[rest] and adj[v] & rest == rest
         if is_clique[s] and all(s & m for m in covers):
             if roots is not None and v not in roots:
@@ -53,7 +54,8 @@ def brute_max_requiring_clique(n, adj, covers, requires, roots=None):
     """Size of the largest clique that meets every cover a member requires.
 
     A subset DP: each subset's clique flag, required covers and met
-    covers come from the subset minus its lowest vertex.
+    covers come from the subset minus its highest vertex.  With `roots`,
+    only cliques whose largest vertex is a root count.
     """
     member = [sum(1 << j for j, m in enumerate(covers) if m >> v & 1) for v in range(n)]
     is_clique = [True] * (1 << n)
@@ -61,9 +63,8 @@ def brute_max_requiring_clique(n, adj, covers, requires, roots=None):
     met = [0] * (1 << n)
     best = 0
     for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        v = low.bit_length() - 1
+        v = s.bit_length() - 1
+        rest = s ^ 1 << v
         is_clique[s] = is_clique[rest] and adj[v] & rest == rest
         req[s] = req[rest] | requires[v]
         met[s] = met[rest] | member[v]
@@ -74,16 +75,17 @@ def brute_max_requiring_clique(n, adj, covers, requires, roots=None):
     return best
 
 
-def random_levels(rng, n):
+def random_levels(rng, n, max_top=3):
     """Covers and prefix-shaped requires from random vertex levels.
 
-    Each of a few coordinates gives every vertex a level; cover (i, l)
-    holds the vertices at level l on coordinate i (it may be empty), and
-    a vertex requires the levels 0..its own on every coordinate.
+    Each of a few coordinates gives every vertex a level up to `max_top`;
+    cover (i, l) holds the vertices at level l on coordinate i (it may be
+    empty), and a vertex requires the levels 0..its own on every
+    coordinate.
     """
     covers, requires = [], [0] * n
     for _ in range(rng.randrange(1, 4)):
-        top = rng.randrange(0, 4)
+        top = rng.randrange(0, max_top + 1)
         level = [rng.randrange(top + 1) for _ in range(n)]
         for v in range(n):
             requires[v] |= ((2 << level[v]) - 1) << len(covers)
@@ -161,6 +163,123 @@ def reference_max_clique(adj, n, roots, initial, covers):
             best, members = 1, (i,)
         stack.pop()
     return best, members, nodes
+
+
+def mirror(n, adj, covers=(), requires=None, roots=None):
+    """The same instance with vertex i renamed n-1-i."""
+
+    def flip(bits):
+        return int(bin(bits)[2:].zfill(n)[::-1], 2)
+
+    return (
+        [flip(row) for row in reversed(adj)],
+        [flip(m) for m in covers],
+        None if requires is None else list(requires)[::-1],
+        None if roots is None else [n - 1 - i for i in roots],
+    )
+
+
+def unmirror(n, members):
+    return tuple(sorted(n - 1 - v for v in members))
+
+
+def reference_search(
+    adj, n, roots, initial=0, stop_at=None, node_limit=None, covers=(), requires=None
+):
+    """The engine's whole contract in its mirror image, from the least vertex up.
+
+    Root i explores the cliques whose least vertex is i, and every node
+    colours all its candidates, each class taking the least vertex left.
+    Covers are sets of indices; the count cut, the recording rule and
+    both limits follow the module docstring.  Returns (size, members,
+    nodes, truncated).
+    """
+    k = len(covers)
+    member = [{j for j, m in enumerate(covers) if m >> v & 1} for v in range(n)]
+    if requires is None:
+        req = [set(range(k))] * n
+    else:
+        req = [{j for j in range(k) if requires[v] >> j & 1} for v in range(n)]
+    classes, unions = [], []
+    for j, m in enumerate(covers if requires is not None else ()):
+        for c, union in enumerate(unions):
+            if not union & m:
+                classes[c].add(j)
+                unions[c] |= m
+                break
+        else:
+            classes.append({j})
+            unions.append(m)
+    best, members, nodes, stack = initial, (), 0, []
+
+    class Stop(Exception):
+        pass
+
+    def meets(pend, cand):
+        return all(covers[j] & cand for j in pend)
+
+    def record(size):
+        nonlocal best, members
+        best, members = size, tuple(sorted(stack))
+        if stop_at is not None and size >= stop_at:
+            raise Stop(False)
+
+    def color_sort(cand):
+        order, colors, color = [], [], 0
+        while cand:
+            color += 1
+            group = cand
+            while group:
+                v = (group & -group).bit_length() - 1
+                cand &= ~(1 << v)
+                group &= ~adj[v] & ~(1 << v)
+                order.append(v)
+                colors.append(color)
+        return order, colors
+
+    def expand(depth, cand, met, pend):
+        nonlocal nodes
+        if node_limit is not None and nodes >= node_limit:
+            raise Stop(True)
+        nodes += 1
+        need = max((len(pend & c) for c in classes), default=0)
+        order, colors = color_sort(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if depth + colors[idx] <= best or colors[idx] < need:
+                return
+            v = order[idx]
+            new_cand = cand & adj[v]
+            new_met = met | member[v]
+            rest = (pend | req[v]) - new_met
+            stack.append(v)
+            if not rest and depth + 1 > best and (not new_cand or len(new_met) < k):
+                record(depth + 1)
+            if new_cand and meets(rest, new_cand):
+                expand(depth + 1, new_cand, new_met, rest)
+            stack.pop()
+            cand &= ~(1 << v)
+            if not meets(pend, cand):
+                return
+
+    truncated = False
+    try:
+        for i in roots:
+            if stop_at is not None and best >= stop_at:
+                break
+            cand = adj[i] >> (i + 1) << (i + 1)
+            met = member[i]
+            pend = req[i] - met
+            if 1 + cand.bit_count() <= best or not meets(pend, cand):
+                continue
+            stack.append(i)
+            if not pend and best < 1 and (not cand or len(met) < k):
+                record(1)
+            if cand:
+                expand(1, cand, met, pend)
+            stack.pop()
+    except Stop as stop:
+        truncated = stop.args[0]
+    return best, members, nodes, truncated
 
 
 class TestExactness:
@@ -244,19 +363,23 @@ class TestCovers:
             if rng.random() < 0.3:
                 roots = list(range(n))
             initial = rng.randrange(0, 6)
-            res = max_clique(adj, n, roots=roots, initial=initial, covers=covers)
+            # The engine branches from the largest vertex: on the mirrored
+            # instance it must take every branch the reference takes.
+            madj, mcovers, _, mroots = mirror(n, adj, covers, roots=roots)
+            res = max_clique(madj, n, roots=mroots, initial=initial, covers=mcovers)
+            members = unmirror(n, res.members)
             expect = reference_max_clique(adj, n, roots, initial, covers)
-            assert (res.size, res.members, res.nodes) == expect, case
+            assert (res.size, members, res.nodes) == expect, case
             assert not res.truncated
             if n <= 14:
-                brute = brute_max_covering_clique(n, adj, covers, set(roots))
+                brute = brute_max_covering_clique(n, madj, mcovers, set(mroots))
                 assert res.size == max(initial, brute), case
             if res.members:
                 improved += 1
-                assert len(res.members) == res.size > initial
-                assert min(res.members) in roots
-                assert all(adj[a] >> b & 1 for a, b in itertools.combinations(res.members, 2))
-                assert all(any(m >> v & 1 for v in res.members) for m in covers)
+                assert len(members) == res.size > initial
+                assert min(members) in roots
+                assert all(adj[a] >> b & 1 for a, b in itertools.combinations(members, 2))
+                assert all(any(m >> v & 1 for v in members) for m in covers)
             else:
                 kept_initial += 1
                 assert res.size == initial
@@ -307,7 +430,7 @@ class TestRequires:
             if res.members:
                 improved += 1
                 ms = res.members
-                assert len(ms) == res.size > initial and min(ms) in roots
+                assert len(ms) == res.size > initial and max(ms) in roots
                 assert all(adj[a] >> b & 1 for a, b in itertools.combinations(ms, 2))
                 req = met = 0
                 for v in ms:
@@ -389,11 +512,22 @@ class TestControls:
         assert full.size >= res.size
 
     def test_roots_restriction(self):
-        # roots {0} explores only cliques whose least vertex is 0
+        # roots {1} explores only cliques whose largest vertex is 1
         edges = [(0, 1), (2, 3), (3, 4), (2, 4)]
         adj = adj_from_edges(5, edges)
-        assert max_clique(adj, 5, roots=[0]).size == 2
-        assert max_clique(adj, 5, roots=[0, 2]).size == 3
+        assert max_clique(adj, 5, roots=[1]).size == 2
+        assert max_clique(adj, 5, roots=[1, 4]).size == 3
+
+    def test_self_loop_rejected(self):
+        # Colouring removes a class by its members' neighbours, which a
+        # looped vertex would survive.
+        adj = adj_from_edges(3, [(0, 1), (1, 2)])
+        adj[1] |= 1 << 1
+        with pytest.raises(ValueError, match="self-loop"):
+            max_clique(adj, 3)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="self-loop"):
+                max_clique_parallel(adj, 3, workers=workers)
 
 
 class TestParallel:
@@ -408,3 +542,43 @@ class TestParallel:
             assert par.size == serial.size
             assert par.members == serial.members
             assert not par.truncated
+
+
+class TestMirror:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_engine_mirrors_least_vertex_search(self, data):
+        # The engine on the mirrored instance makes every decision of the
+        # least-vertex search: same size, members, nodes and truncation,
+        # under every control it takes.
+        n = data.draw(st.integers(0, 30), label="n")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        density = data.draw(st.sampled_from((0.3, 0.5, 0.7, 0.9)), label="density")
+        adj = adj_from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        )
+        kind = data.draw(st.sampled_from(("none", "masks", "levels", "any")), label="covers")
+        covers, requires = [], None
+        if kind == "masks":
+            covers = [
+                sum(1 << v for v in range(n) if rng.random() < 0.4)
+                for _ in range(rng.randrange(1, 4))
+            ]
+        elif kind != "none":
+            # Deep levels make the count cut bite.
+            covers, requires = random_levels(rng, n, data.draw(st.integers(3, 8), label="levels"))
+            if kind == "any":
+                requires = [rng.randrange(1 << len(covers)) for _ in range(n)]
+        roots = None
+        if n and data.draw(st.booleans(), label="restrict roots"):
+            roots = rng.sample(range(n), rng.randrange(1, n + 1))
+        initial = data.draw(st.integers(0, 4), label="initial")
+        stop_at = data.draw(st.none() | st.integers(1, 8), label="stop_at")
+        node_limit = data.draw(st.none() | st.integers(0, 300), label="node_limit")
+        madj, mcovers, mrequires, mroots = mirror(n, adj, covers, requires, roots)
+        res = max_clique(madj, n, mroots, initial, stop_at, node_limit, None, mcovers, mrequires)
+        least_roots = range(n) if roots is None else roots
+        expect = reference_search(
+            adj, n, least_roots, initial, stop_at, node_limit, covers, requires
+        )
+        assert (res.size, unmirror(n, res.members), res.nodes, res.truncated) == expect

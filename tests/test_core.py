@@ -122,7 +122,7 @@ class TestThresholds:
                 threshold_seq((2, bad), 2)
             with pytest.raises(ValueError):
                 Family(1, [(bad,)])
-            with pytest.raises((TypeError, ValueError)):
+            with pytest.raises(ValueError, match="thresholds"):
                 threshold_seq(bad, 2)
 
 

@@ -119,8 +119,10 @@ class TestCompatibilityGraph:
             ((1, 2, 3), (4, 2, 3), 4),
         ):
             g = build_compatibility_graph(ks, SearchBox(limits), rank=rank)
-            pts = [p for p in box_points(limits) if rank is None or sum(p) == rank]
+            # Vertices come in decreasing lexicographic order.
+            pts = [p for p in box_points(limits) if rank is None or sum(p) == rank][::-1]
             assert g.vectors == tuple(pts)
+            assert all(tuple(c.tolist()) == col for c, col in zip(g.coords, zip(*pts)))
             free = 0
             for i in range(g.n):
                 assert not g.adj[i] >> i & 1
@@ -333,6 +335,43 @@ class TestMaxFamily:
         two = max_family_size(2, 3, workers=2)
         assert one.best_size == two.best_size == 4
         assert one.witness == two.witness
+
+
+class TestWitnessPins:
+    """Witnesses of searches whose every branching decision is pinned.
+
+    A change of vertex order or engine that keeps the node counts must
+    also keep these.
+    """
+
+    F33_9 = [
+        (0, 0, 4), (0, 1, 3), (0, 2, 2), (1, 1, 2), (1, 2, 1),
+        (2, 1, 1), (2, 2, 0), (3, 0, 3), (4, 0, 2),
+    ]
+
+    def test_f33_found(self):
+        res = exists_family(3, 3, 9, box=compression_box(3, 3, 9))
+        assert res.found and list(res.witness) == self.F33_9
+
+    def test_f33_refuted_on_two_workers(self):
+        res = exists_family(3, 3, 10, box=compression_box(3, 3, 10), workers=2)
+        assert res.found is False and res.exhaustive and res.best_size == 9
+        assert list(res.witness) == self.F33_9
+
+    def test_in_box_w4(self):
+        res = max_family_in_box(2, SearchBox((4,) * 4))
+        assert list(res.witness) == [
+            (0, 0, 0, 3), (0, 0, 1, 2), (0, 1, 0, 2), (0, 1, 1, 1),
+            (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0), (2, 0, 0, 2),
+        ]
+
+    def test_ranked_3_4(self):
+        res = ranked_max_family_size(3, 4)
+        assert res.best_size == 27
+        # The rank-6 points whose first three coordinates lie in 0..2.
+        assert list(res.witness) == sorted(
+            (a, b, c, 6 - a - b - c) for a in range(3) for b in range(3) for c in range(3)
+        )
 
 
 def zero_cover_max(k, limits):

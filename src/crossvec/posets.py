@@ -626,5 +626,9 @@ def load_poset(path) -> Poset:
 
 
 def save_poset(p: Poset, path) -> None:
+    """Write a poset to a text file, or to stdout when path is "-"."""
+    if path == "-":
+        sys.stdout.write(poset_to_text(p))
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(poset_to_text(p))

@@ -8,28 +8,35 @@ that are 1-crossing but not ks-crossing.  An exhaustive clique search
 over a box therefore decides in-box existence outright; what makes the
 answer global is a complete box.
 
-Box completeness.  `normalize` shifts each coordinate's attained values
-so the minimum is 0 and caps every gap between consecutive attained
-values at that coordinate's threshold.  Capping preserves all pairwise
-relations: a difference that met a threshold t <= ks[i] still meets it
-(either some single gap was capped to exactly ks[i], or no gap between
-the two values was capped at all), and sub-threshold differences are
-untouched, as are signs.  Hence every verifying family of size m has a
-relation-identical copy inside [0, max(ks) * (m-1)]^w, and refuting
-size m over that auto-derived box refutes it over all of Z^w.  Since
-the box for target m contains the boxes for all smaller targets, a
+Box completeness.  For any thresholds ks, every verifying family of m
+vectors has a verifying copy of the same size inside [0, m-1]^w
+(`compression_box`), so refuting size m there refutes it over all of
+Z^w; since that box contains the boxes for all smaller targets, a
 completed search also certifies the in-box maximum as the global one.
+Translate the family so every coordinate minimum is 0 (both defining
+constraints depend only on differences), then run `compress` on each
+coordinate c in turn.  Its cross digraph has a short edge A -> B when
+A[c] - B[c] = 1 and B >= A elsewhere, and a long edge when
+B[c] - A[c] = ks[c] - 1 and A[i] - B[i] >= ks[i] for some i != c.  One
+compression step moves a set S down by one on c: a vector with no path
+to level 0 and all its successors.  So S is closed under successors,
+and every vector in it is at level >= 1.  Take a pair A in S, B not in
+S, and let A' = A - e_c.  Comparability: B <= A' would mean B <= A,
+and A' <= B without A <= B forces A[c] - B[c] = 1 and B >= A
+elsewhere, a short edge; this also rules out A' = B.  Crossing: A'
+differs from A only in that B[c] - A[c] grew by one, so a new
+ks-crossing must have B beat A' by ks[c] on c, hence
+B[c] - A[c] = ks[c] - 1 and A[i] - B[i] >= ks[i] for some i != c, a
+long edge.  Either edge puts B in S, a contradiction.  Pairs inside S
+and pairs outside S keep their differences, so the step keeps size and
+verification.  At the fixpoint every vector has a path to level 0.
+Long edges never descend (ks[c] - 1 >= 0) and short edges descend by
+one, so a path from level s > 0 to 0 steps through s - 1, and the
+attained levels form {0..t}.  Compression only lowers values, and only
+on c, so the coordinates done earlier stay gap-free, and m vectors take
+at most m values on each.
 
-For a uniform threshold there is a much smaller complete box:
-`compress` drives every vector to level 0 on one coordinate along
-short/long-edge paths of the cross digraph, and at its fixpoint the
-attained values on that coordinate form an integer interval starting at
-0 (a path from level s > 0 to level 0 must step through s - 1, because
-only unit steps descend).  Compression touches one coordinate at a
-time, so applying it to each coordinate in turn puts any size-m family
-inside [0, m-1]^w while staying verifying; see `compression_box`.
-
-Constant-rank search uses a third completeness argument: translate a
+Constant-rank search uses a second completeness argument: translate a
 ranked verifying family so every coordinate minimum is 0.  If some
 value V >= k were attained on coordinate i, pair its vector u with a
 vector v at 0 on i; equal ranks force the other w - 1 coordinates of
@@ -67,24 +74,20 @@ Symmetry pruning.  The clique engine branches on the maximum vertex,
 which in the graph's decreasing lexicographic order is the
 lexicographically least point.  So roots can soundly be restricted to
 vertices that can be the lexicographically least member of some
-normalized image of a maximum family: normalization gives every
+translated image of a maximum family: translation gives every
 coordinate minimum 0, so the least member has first coordinate 0; and
 for a uniform threshold on a cubical box, permuting coordinates is a
 graph automorphism, so the least member of the lexicographically least
 image is a nondecreasing tuple.
 
 Level covers.  Every search box B has lower limit 0 on each
-coordinate.  Under a uniform threshold, any verifying family in B has a
-copy in B of the same size that is gap-free: on every coordinate its
-values form an interval {0..t_i}.  First translate each coordinate's
-minimum to 0; both edge predicates depend only on differences, so this
-is again a clique, and it stays in B.  Then run `compress` on each
-coordinate in turn.  Compression keeps size and verification, only
-lowers values and only on its own coordinate, so the family stays in
-B, the coordinates done earlier stay gap-free, and at its fixpoint the
-current one is gap-free too ("Box completeness").  The clique engine is
-therefore given one cover per coordinate i and level l, the vertices at
-l on i, and vertex v requires the covers (i, 0..v[i]) on every i.  It
+coordinate, so the argument under "Box completeness" gives any
+verifying family in B a copy in B of the same size that is gap-free:
+on every coordinate its values form an interval {0..t_i}.  Translation
+and compression only lower values, so the copy stays in B.  The clique
+engine is therefore given one cover per coordinate i and level l, the
+vertices at l on i, and vertex v requires the covers (i, 0..v[i]) on
+every i.  It
 records only gap-free cliques, and cuts a branch once a required level
 has no vertex left among the candidates, or once one coordinate has
 more required levels unmet than the colour bound allows (a vertex meets
@@ -101,14 +104,13 @@ limits 0.  If B holds a family of m vectors, C holds a gap-free one.  If
 not, every family in B has at most m - 1 vectors and a gap-free copy in
 C, so C's maximum is B's, and a refuted target still reports B's exact
 in-box maximum.  The root restriction and the level covers are argued
-on C alone; the roots are nondecreasing tuples only when C itself is
-cubical.  The result reports B, whose completeness is what makes a
-refutation global.
+on C alone; the roots are nondecreasing tuples only when the thresholds
+are uniform and C itself is cubical.  The result reports B, whose
+completeness is what makes a refutation global.
 
-Zero covers.  Compression does not keep a constant rank, and it is
-proved only for a uniform threshold, so ranked searches and
-per-coordinate thresholds are neither clipped nor given level covers.
-They keep the weaker consequence of translation alone: one cover per
+Zero covers.  Compression does not keep a constant rank, so ranked
+searches are neither clipped nor given level covers.  They keep the
+weaker consequence of translation alone: one cover per
 coordinate, the vertices at 0 there, which every vertex requires.  The
 root restriction composes with it as with level covers.  In a ranked
 search, translating a family of rank slice r lands it in a slice
@@ -215,34 +217,24 @@ class SearchBox:
         return "x".join(f"[0,{x}]" for x in self.limits)
 
 
-def auto_box(ks, w: int, m: int) -> SearchBox:
-    """The normalize-complete box [0, max(ks)*(m-1)]^w for target size m."""
+def compression_box(ks, w: int, m: int) -> SearchBox:
+    """The compression-complete box [0, m-1]^w for thresholds ks.
+
+    `ks` is an int (a uniform threshold) or one threshold per
+    coordinate.  Every verifying family of size m has a verifying copy
+    of the same size here (module docstring, "Box completeness"), so
+    refuting size m here refutes it globally.
+    """
     seq = threshold_seq(ks, w)
     if m < 1:
         raise ValueError(f"target size must be >= 1, got {m}")
-    side = max(seq) * (m - 1)
-    return SearchBox(
-        (side,) * w,
-        derivation=f"auto (normalize-complete for size {m})",
-        complete_for=m,
-    )
-
-
-def compression_box(k: int, w: int, m: int) -> SearchBox:
-    """The compression-complete box [0, m-1]^w (uniform threshold only).
-
-    Any verifying family of size m can be compressed one coordinate at
-    a time until every coordinate's attained values form an interval
-    starting at 0, hence lie in [0, m-1]; compression preserves size and
-    verification, so refuting size m here refutes it globally.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 1:
-        raise ValueError(f"target size must be >= 1, got {m}")
+    if len(set(seq)) == 1:
+        what = f"uniform k={seq[0]}"
+    else:
+        what = "ks=" + ",".join(map(str, seq))
     return SearchBox(
         (m - 1,) * w,
-        derivation=f"compression-complete for size {m} (uniform k={k})",
+        derivation=f"compression-complete for size {m} ({what})",
         complete_for=m,
     )
 
@@ -448,11 +440,13 @@ def normalize(family: Family, ks) -> Family:
 
     Per coordinate, attained values are shifted so the minimum is 0 and
     every gap between consecutive attained values is capped at that
-    coordinate's threshold.  Signs of differences and threshold hits are
-    preserved exactly (see the module docstring), so the output has the
-    same relation matrix as the input and verifies iff the input does;
-    the capping needs no verification precondition.  Values end up in
-    [0, ks[i] * (size-1)].  Idempotent.
+    coordinate's threshold.  A difference that met a threshold
+    t <= ks[i] still meets it (either some single gap was capped to
+    exactly ks[i], or no gap between the two values was capped at all),
+    and sub-threshold differences are untouched, as are signs.  So the
+    output has the same relation matrix as the input and verifies iff
+    the input does; the capping needs no verification precondition.
+    Values end up in [0, ks[i] * (size-1)].  Idempotent.
     """
     seq = threshold_seq(ks, family.width)
     if len(family) == 0:
@@ -518,16 +512,16 @@ def _search(
 
     Searches the box as one slice, or with `ranked` its rank slices in
     increasing rank, skipping any slice no larger than the incumbent.
-    Under a uniform threshold a box search uses level covers, and with
-    a target `stop_at` it searches only box ∩ [0, stop_at - 1]^w
-    (module docstring, "Level covers" and "Clipping"); the result still
-    reports `box`.
+    A box search uses level covers, and with a target `stop_at` it
+    searches only box ∩ [0, stop_at - 1]^w (module docstring, "Level
+    covers" and "Clipping"); the result still reports `box`.  A ranked
+    search uses zero covers.
     The result is never exhaustive: the entry points judge that.  Its
     notes hold only a build error's text, if the build raised one.
     """
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit
-    levels = len(set(seq)) == 1 and not ranked
+    levels = not ranked
     searched = box
     if levels and stop_at is not None:
         searched = replace(box, limits=tuple(min(x, stop_at - 1) for x in box.limits))
@@ -588,21 +582,22 @@ def exists_family(
 ) -> SearchResult:
     """Decide whether a verifying family of m vectors exists in a box.
 
-    With no box given, the normalize-complete auto box for size m is
-    used, so a completed refutation is global; in that case the result
-    also carries the in-box maximum and its witness, which by
-    completeness is the global maximum.  A found witness is returned as
-    soon as the engine hits size m.  Under a uniform threshold only the
-    part of the box inside [0, m-1]^w is built and searched, which
-    holds a copy of every family of the box with at most m vectors
-    (module docstring, "Clipping"); the result still reports the given
-    box, and a refuted target its exact in-box maximum.
+    With no box given, the compression box [0, m-1]^w is used, which
+    is complete for size m (module docstring, "Box completeness"), so a
+    completed refutation is global; in that case the result also
+    carries the in-box maximum and its witness, which by completeness
+    is the global maximum.  A found witness is returned as soon as the
+    engine hits size m.  Only the part of the box inside [0, m-1]^w is
+    built and searched, which holds a copy of every family of the box
+    with at most m vectors (module docstring, "Clipping"); the result
+    still reports the given box, and a refuted target its exact in-box
+    maximum.
     """
     seq = threshold_seq(ks, w)
     if m < 1:
         raise ValueError(f"target size must be >= 1, got {m}")
     if box is None:
-        box = auto_box(seq, w, m)
+        box = compression_box(seq, w, m)
     if box.width != w:
         raise ValueError(f"box width {box.width} != {w}")
     res = _search(seq, box, limits or SearchLimits(), workers, stop_at=m)
@@ -656,9 +651,9 @@ def max_family_size(
     Seeds from the generalized product construction, then asks
     exists_family for one more vector over a complete box until a
     target is refuted (certified answer) or a resource cap bites (the
-    best-so-far is returned with exhaustive=False).  The box is the
-    compression box [0, m-1]^w for a uniform threshold and the auto box
-    otherwise.
+    best-so-far is returned with exhaustive=False).  The box for target
+    m is the compression box [0, m-1]^w, complete for every ks (module
+    docstring, "Box completeness").
     """
     seq = threshold_seq(ks, w)
     limits = limits or SearchLimits()
@@ -673,10 +668,8 @@ def max_family_size(
     upper = math.prod(seq)
     nodes = 0
     while True:
-        box = compression_box(seq[0], w, best + 1) if len(set(seq)) == 1 else None
-        res = exists_family(
-            seq, w, best + 1, box, _remaining(limits, start, nodes), workers
-        )
+        box = compression_box(seq, w, best + 1)
+        res = exists_family(seq, w, best + 1, box, _remaining(limits, start, nodes), workers)
         nodes += res.nodes
         if not res.found:
             break
@@ -745,16 +738,17 @@ def ranked_max_family_size(
 
 @dataclass
 class CrossDigraph:
-    """Directed edges witnessing how levels on one coordinate interact.
+    """Directed edges witnessing how levels on one coordinate c interact.
 
     A short edge A -> B steps down one level (A[c] - B[c] = 1) while B
-    dominates A elsewhere; a long edge jumps up k - 1 levels while A
-    beats B by at least k somewhere else.  Paths to level 0 are what
-    compression preserves.
+    dominates A elsewhere; a long edge jumps up ks[c] - 1 levels while A
+    beats B by at least ks[i] on some other coordinate i.  Paths to
+    level 0 are what compression preserves (module docstring, "Box
+    completeness").  `ks` holds one threshold per coordinate.
     """
 
     family: Family
-    k: int
+    ks: tuple[int, ...]
     coord: int  # 1-based
     short_edges: frozenset[tuple[Vector, Vector]]
     long_edges: frozenset[tuple[Vector, Vector]]
@@ -770,22 +764,21 @@ def _successors(vectors, edges) -> dict[Vector, set[Vector]]:
     return succ
 
 
-def _check_digraph_input(family: Family, k: int, coord: int) -> int:
-    # Preconditions of the cross digraph; returns the 0-based coordinate.
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def _check_digraph_input(family: Family, ks, coord: int):
+    # Preconditions of the cross digraph; returns (thresholds, 0-based coord).
+    seq = threshold_seq(ks, family.width)
     if not 1 <= coord <= family.width:
         raise ValueError(f"coordinate {coord} out of range 1..{family.width}")
-    if not verify(family, k).ok:
-        raise ValueError(f"family does not verify for k={k}")
+    if not verify(family, seq).ok:
+        raise ValueError(f"family does not verify for ks={','.join(map(str, seq))}")
     c = coord - 1
     for v in family:
         if v[c] < 0:
             raise ValueError(f"vector {v} negative on coordinate {coord}")
-    return c
+    return seq, c
 
 
-def _digraph_edges(vectors, k: int, c: int):
+def _digraph_edges(vectors, seq, c: int):
     short = set()
     long = set()
     for a in vectors:
@@ -796,22 +789,22 @@ def _digraph_edges(vectors, k: int, c: int):
                 a[i] <= b[i] for i in range(len(a)) if i != c
             ):
                 short.add((a, b))
-            if b[c] - a[c] == k - 1 and any(
-                a[i] - b[i] >= k for i in range(len(a)) if i != c
+            if b[c] - a[c] == seq[c] - 1 and any(
+                a[i] - b[i] >= seq[i] for i in range(len(a)) if i != c
             ):
                 long.add((a, b))
     return short, long
 
 
-def build_cross_digraph(family: Family, k: int, coord: int) -> CrossDigraph:
+def build_cross_digraph(family: Family, ks, coord: int) -> CrossDigraph:
     """Short/long edge digraph of a verifying family on one coordinate.
 
-    The family must verify for k and be nonnegative on `coord`
-    (1-based).
+    `ks` is an int or one threshold per coordinate.  The family must
+    verify for ks and be nonnegative on `coord` (1-based).
     """
-    c = _check_digraph_input(family, k, coord)
-    short, long = _digraph_edges(family.vectors, k, c)
-    return CrossDigraph(family, k, coord, frozenset(short), frozenset(long))
+    seq, c = _check_digraph_input(family, ks, coord)
+    short, long = _digraph_edges(family.vectors, seq, c)
+    return CrossDigraph(family, seq, coord, frozenset(short), frozenset(long))
 
 
 def _reaches_level0(vectors, succ, c) -> set:
@@ -829,23 +822,25 @@ def _reaches_level0(vectors, succ, c) -> set:
     return reached
 
 
-def compress(family: Family, k: int, coord: int) -> Family:
+def compress(family: Family, ks, coord: int) -> Family:
     """Fixpoint compression of one coordinate of a verifying family.
 
-    While some vector has no digraph path to level 0, the canonically
-    least such vector and all its successors move down one level (none
-    of them sits at level 0, else the chosen vector would have a path).
-    At the fixpoint every vector reaches level 0 and the attained levels
-    form an interval of nonnegative integers starting at 0.  Size and
-    verification are preserved; the result is idempotent under repeated
-    compression of the same coordinate.
+    `ks` is an int or one threshold per coordinate.  While some vector
+    has no digraph path to level 0, the canonically least such vector
+    and all its successors move down one level (none of them sits at
+    level 0, else the chosen vector would have a path).  At the fixpoint
+    every vector reaches level 0 and the attained levels form an
+    interval of nonnegative integers starting at 0.  Size and
+    verification are preserved (module docstring, "Box completeness");
+    the result is idempotent under repeated compression of the same
+    coordinate.
     """
-    c = _check_digraph_input(family, k, coord)
+    seq, c = _check_digraph_input(family, ks, coord)
     if len(family) == 0:
         return family
     vectors = list(family.vectors)
     while True:
-        short, long = _digraph_edges(vectors, k, c)
+        short, long = _digraph_edges(vectors, seq, c)
         succ = _successors(vectors, short | long)
         reached = _reaches_level0(vectors, succ, c)
         stuck = sorted(v for v in vectors if v not in reached)

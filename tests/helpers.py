@@ -9,6 +9,7 @@ computes.
 import itertools
 
 from crossvec import Family, Poset, VerificationReport
+from crossvec.core import threshold_seq
 
 
 def pair_relation(a, b, seq):
@@ -117,14 +118,15 @@ def brute_max_antichains(p):
     return best, [frozenset(labs[i] for i in m) for m in found]
 
 
-def random_verified_family(rng, k, w, n, span=None):
+def random_verified_family(rng, ks, w, n, span=None):
     """Sample vectors, keep only those free against everything kept so far.
 
+    `ks` is an int (a uniform threshold) or one threshold per coordinate.
     May return fewer than n vectors; that is fine for property loops.
     """
+    seq = threshold_seq(ks, w)
     if span is None:
-        span = 3 * k
-    seq = (k,) * w
+        span = 3 * max(seq)
     vs = []
     for _ in range(6 * n):
         v = tuple(rng.randrange(-span, span + 1) for _ in range(w))

@@ -105,7 +105,7 @@ class TestSearchCommand:
         fam = family_from_text(wit.read_text())
         assert len(fam) == 4 and verify(fam, 2).ok
 
-    def test_target_refuted_cites_auto_box(self, capsys):
+    def test_target_refuted_cites_compression_box(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--k", "2", "--w", "3", "--target", "5",
             "--format", "records",
@@ -114,9 +114,24 @@ class TestSearchCommand:
         rec = records(out)
         assert rec["found"] == "no"
         assert rec["exhaustive"] == "yes"
-        assert rec["box"] == "[0,8]^3"
-        assert rec["box_derivation"].startswith("auto")
+        assert rec["box"] == "[0,4]^3"
+        assert rec["box_derivation"] == "compression-complete for size 5 (uniform k=2)"
         assert "certificate: exhaustive" in out
+
+    @pytest.mark.parametrize(
+        "ks,size,nodes,box",
+        (("2,3,3", "9", "19922", "[0,9]^3"), ("1,2,3", "6", "248", "[0,6]^3")),
+        ids=("2-3-3", "1-2-3"),
+    )
+    def test_per_coordinate_thresholds_certify(self, capsys, ks, size, nodes, box):
+        code, out, _ = run_cli(
+            capsys, "search", "--ks", ks, "--w", "3", "--deterministic",
+            "--format", "records",
+        )
+        assert code == 0
+        rec = records(out)
+        assert rec["exhaustive"] == "yes"
+        assert (rec["best_size"], rec["nodes"], rec["box"]) == (size, nodes, box)
 
     def test_free_search_known_value(self, capsys):
         code, out, _ = run_cli(
@@ -172,14 +187,14 @@ class TestSearchCommand:
         assert "elapsed" not in out1
 
     def test_refuted_target_is_byte_identical(self, capsys):
-        # Refuting f(3,3) = 10 searches [0,9]^3 inside the auto box
-        # [0,27]^3, well within the default limits.
+        # Refuting f(3,3) = 10 searches the compression box [0,9]^3, well
+        # within the default limits.
         argv = ("search", "--k", "3", "--w", "3", "--target", "10", "--deterministic")
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 1
         assert out1 == out2
-        assert "box             [0,27]^3" in out1
+        assert "box             [0,9]^3" in out1
 
     def test_usage_errors(self, capsys):
         code, _, err = run_cli(capsys, "search", "--w", "3")

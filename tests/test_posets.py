@@ -276,12 +276,16 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             poset_from_text("elements a b\na < b\nb < a\n")
 
-    def test_save_load(self, tmp_path, monkeypatch):
+    def test_save_load(self, tmp_path, monkeypatch, capsys):
         p = chain(3)
         path = tmp_path / "poset.txt"
         save_poset(p, path)
         q = load_poset(path)
         assert poset_to_text(q) == poset_to_text(p)
-        # "-" reads stdin.
+        # "-" reads stdin and writes stdout.
         monkeypatch.setattr(sys, "stdin", io.StringIO(poset_to_text(p)))
         assert poset_to_text(load_poset("-")) == poset_to_text(p)
+        monkeypatch.chdir(tmp_path)
+        save_poset(p, "-")
+        assert capsys.readouterr().out == poset_to_text(p)
+        assert not (tmp_path / "-").exists()

@@ -5,13 +5,14 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossvec import (
     BoxTooLargeError,
     Family,
     SearchBox,
     SearchLimits,
-    auto_box,
     build_compatibility_graph,
     build_cross_digraph,
     compress,
@@ -94,17 +95,14 @@ class TestBoxes:
         with pytest.raises(ValueError):
             SearchBox(())
 
-    def test_auto_box(self):
-        b = auto_box(2, 3, 5)
-        assert b.limits == (8, 8, 8)
-        assert b.complete_for == 5
-        b = auto_box((1, 2, 3), 3, 4)
-        assert b.limits == (9, 9, 9)
-
     def test_compression_box(self):
         b = compression_box(3, 3, 10)
         assert b.limits == (9, 9, 9)
         assert b.complete_for == 10
+        b = compression_box((1, 2, 3), 3, 4)
+        assert b.limits == (3, 3, 3)
+        assert b.complete_for == 4
+        assert b.derivation == "compression-complete for size 4 (ks=1,2,3)"
 
 
 class TestCompatibilityGraph:
@@ -148,7 +146,7 @@ class TestExistsFamily:
         assert verify(hit.witness, 2).ok
         miss = exists_family(2, 2, 3)
         assert miss.found is False
-        assert miss.exhaustive  # auto box is complete for m=3: f(2,2) < 3
+        assert miss.exhaustive  # [0,2]^2 is complete for m=3: f(2,2) < 3
         assert miss.best_size == 2
         assert miss.target == 3
 
@@ -226,10 +224,10 @@ class TestExistsFamily:
         assert not res.truncated and res.best_size == 2
 
     def test_time_limit_covers_graph_build(self):
-        # the auto box [0,27]^3 takes far longer than the limit to build;
-        # non-uniform thresholds search all of it
+        # the compression box [0,27]^3 for target 28 takes far longer
+        # than the limit to build
         limit = 0.05
-        res = exists_family((2, 3, 3), 3, 10, limits=SearchLimits(time_limit=limit))
+        res = exists_family((2, 3, 3), 3, 28, limits=SearchLimits(time_limit=limit))
         assert res.truncated and not res.exhaustive and not res.found
         assert res.elapsed <= limit + 0.3
         assert any("building the compatibility graph" in n for n in res.notes)
@@ -249,15 +247,15 @@ class TestExistsFamily:
         assert res.best_size == 9
         assert res.nodes == 37_266
 
-    def test_target_clips_auto_box(self):
-        # The search runs on [0,9]^3 inside the auto box [0,27]^3; the
-        # result reports the auto box and its in-box maximum.
+    def test_default_box_is_compression_box(self):
+        # With no box given, target 10 searches the compression box
+        # [0,9]^3; the result carries its in-box maximum.
         res = exists_family(3, 3, 10)
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9 and len(res.witness) == 9
         assert verify(res.witness, 3).ok
-        assert str(res.box) == "[0,27]^3"
-        assert res.box.derivation.startswith("auto")
+        assert str(res.box) == "[0,9]^3"
+        assert res.box.derivation.startswith("compression-complete")
         assert res.nodes == 37_266
 
     def test_failing_witness_check_raises(self, monkeypatch):
@@ -284,9 +282,10 @@ class TestMaxFamily:
         # The seed puts each threshold back on its own coordinate.
         res = max_family_size((2, 1), 2)
         assert res.best_size == 2 and res.exhaustive
-        res = max_family_size((3, 2, 3), 3, SearchLimits(time_limit=3))
-        assert len(res.witness) == res.best_size >= 9
-        assert verify(res.witness, (3, 2, 3)).ok
+        res = max_family_size((3, 2, 3), 3)
+        assert res.best_size == 9 and res.exhaustive and not res.truncated
+        assert len(res.witness) == 9 and verify(res.witness, (3, 2, 3)).ok
+        assert str(res.box) == "[0,9]^3"
 
     def test_uniform_threshold_searches_compression_box(self):
         res = max_family_size(3, 3)
@@ -384,36 +383,50 @@ def zero_cover_max(k, limits):
     return max_clique(graph.adj, graph.n, covers=covers).size
 
 
+# Per-coordinate thresholds and the largest box side their oracle
+# comparison runs up to.
+SMALL_BOX_SIDES = {(1, 2): 6, (2, 3): 6, (1, 2, 3): 4, (2, 2, 3): 4, (1, 1, 2, 2): 2}
+
+
 class TestLevelCovers:
-    @pytest.mark.parametrize("k", (2, 3))
-    def test_small_boxes_match_zero_covers(self, k):
+    @pytest.mark.parametrize(
+        "ks",
+        (2, 3, *SMALL_BOX_SIDES),
+        ids=lambda ks: "-".join(map(str, ks)) if isinstance(ks, tuple) else str(ks),
+    )
+    def test_small_boxes_match_zero_covers(self, ks):
         # Level covers, and for a target m the clip to [0, m-1]^w, give
-        # the zero-cover answers on every box up to [0,5]^2, [0,4]^3 and
-        # [0,2]^4: the in-box maximum, and every existence target with
-        # its in-box maximum.
+        # the zero-cover answers on every small box: the in-box maximum,
+        # and every existence target with its in-box maximum.  A uniform
+        # k runs on every box up to [0,5]^2, [0,4]^3 and [0,2]^4.
+        if isinstance(ks, tuple):
+            shapes = ((len(ks), SMALL_BOX_SIDES[ks]),)
+        else:
+            shapes = ((2, 5), (3, 4), (4, 2))
         boxes = 0
-        for w, hi in ((2, 5), (3, 4), (4, 2)):
+        for w, hi in shapes:
             for limits in itertools.product(range(hi + 1), repeat=w):
-                want = zero_cover_max(k, limits)
+                want = zero_cover_max(ks, limits)
                 box = SearchBox(limits)
-                res = max_family_in_box(k, box)
+                res = max_family_in_box(ks, box)
                 assert res.best_size == want and not res.truncated, limits
                 for m in range(1, want + 2):
-                    hit = exists_family(k, w, m, box=box)
+                    hit = exists_family(ks, w, m, box=box)
                     assert hit.found is (m <= want) and not hit.truncated, (limits, m)
-                    assert hit.box == box and verify(hit.witness, k).ok
+                    assert hit.box == box and verify(hit.witness, ks).ok
                     assert all(0 <= v[i] <= limits[i] for v in hit.witness for i in range(w))
                     if not hit.found:
                         assert hit.best_size == want, (limits, m)
                 boxes += 1
-        assert boxes == 36 + 125 + 81
+        assert boxes == sum((hi + 1) ** w for w, hi in shapes)
 
-    def test_thresholds_and_ranked_keep_zero_covers(self):
-        # Nothing is clipped for non-uniform thresholds: the whole auto
-        # box is searched.
+    def test_thresholds_get_level_covers_ranked_keeps_zero_covers(self):
+        # Per-coordinate thresholds are clipped and given level covers
+        # like a uniform one: target 6 searches [0,5]^3.  Ranked searches
+        # keep zero covers.
         res = exists_family((2, 3, 3), 3, 6)
-        assert res.found and str(res.box) == "[0,15]^3"
-        assert res.nodes == 176
+        assert res.found and str(res.box) == "[0,5]^3"
+        assert res.nodes == 18
         assert ranked_max_family_size(3, 4).nodes == 1_239
 
 
@@ -473,6 +486,18 @@ class TestCrossDigraph:
         succ = d.successors()
         assert succ[(3, 0, 0)] == {(0, 0, 1)}
 
+    def test_per_coordinate_long_edge(self):
+        # Under ks = (2,3) a long edge on coordinate 2 climbs ks[2] - 1 = 2
+        # levels while A beats B by ks[1] = 2 on coordinate 1; neither
+        # uniform threshold 2 nor 3 gives it, and at 2 the pair crosses.
+        f = Family(2, [(2, 0), (0, 2)])
+        d = build_cross_digraph(f, (2, 3), 2)
+        assert d.ks == (2, 3)
+        assert d.long_edges == frozenset({((2, 0), (0, 2))})
+        assert d.short_edges == frozenset()
+        assert not verify(f, 2).ok
+        assert compress(f, (2, 3), 2).vectors == ((0, 1), (2, 0))
+
     def test_preconditions(self):
         crossing = Family(2, [(0, 2), (2, 0)])
         with pytest.raises(ValueError):
@@ -514,6 +539,43 @@ class TestCompress:
             vals = sorted({v[coord - 1] for v in g})
             assert vals == list(range(len(vals)))  # interval from 0
             assert compress(g, k, coord) == g
+
+    def test_per_coordinate_long_edge_moves_its_target(self):
+        # No vector is at level 0 on coordinate 3, so the least one moves
+        # first and takes along its short-edge successor (5,4,2) and that
+        # one's long-edge successor (5,2,4): B[3] - A[3] = 2 = ks[3] - 1
+        # and A[2] - B[2] = 2 >= ks[2].  Left behind, (5,2,4) would
+        # (2,2,3)-cross (5,4,1).
+        f = Family(3, [(5, 4, 2), (0, 3, 3), (5, 2, 4)])
+        ks = (2, 2, 3)
+        assert build_cross_digraph(f, ks, 3).long_edges == frozenset(
+            {((5, 4, 2), (5, 2, 4))}
+        )
+        g = compress(f, ks, 3)
+        assert g.vectors == ((0, 3, 1), (5, 2, 1), (5, 4, 0))
+        assert verify(g, ks).ok
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_per_coordinate_compression_property(self, data):
+        # Compressing each coordinate in turn keeps size and
+        # verification, makes that coordinate gap-free, keeps the ones
+        # done before gap-free, and is idempotent.
+        w = data.draw(st.integers(2, 4), label="w")
+        ks = data.draw(st.tuples(*[st.integers(1, 4)] * w), label="ks")
+        n = data.draw(st.integers(1, 12), label="n")
+        span = data.draw(st.integers(1, 12), label="span")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        f = random_verified_family(random.Random(seed), ks, w, n, span)
+        lows = [min(v[i] for v in f) for i in range(w)]
+        g = f.translate([-x for x in lows])
+        for coord in range(1, w + 1):
+            g = compress(g, ks, coord)
+            assert len(g) == len(f) and verify(g, ks).ok
+            for i in range(coord):
+                vals = sorted({v[i] for v in g})
+                assert vals == list(range(len(vals))), (coord, i)
+            assert compress(g, ks, coord) == g
 
     def test_sequential_compression_bounds_all_coordinates(self):
         rng = random.Random(3435)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CrossingThresholds, Family, Vector, verify
+from .core import Family, Vector, threshold_seq, verify
 
 
 def _check_positive(name: str, value: int, minimum: int = 1) -> None:
@@ -188,23 +188,25 @@ def generalized_bounds(ks) -> BoundsReport:
     generalized_product_family, and the full product is an upper bound.
     When k1 = 1 the two meet; so do they on the doubling pattern
     (k, k, 2k, ..., 2^(w-2) k), where the lower bound is known to be
-    exact.
+    exact.  ks must be a non-empty, positive, nondecreasing sequence.
     """
-    ks = ks if isinstance(ks, CrossingThresholds) else CrossingThresholds(tuple(ks))
+    ks = threshold_seq(ks, len(ks))
+    if not ks or ks != tuple(sorted(ks)):
+        raise ValueError(f"thresholds must be non-empty and nondecreasing, got {ks}")
     lower = 1
-    for ki in ks.ks[1:]:
+    for ki in ks[1:]:
         lower *= ki
-    upper = lower * ks.ks[0]
+    upper = lower * ks[0]
     candidates: list[tuple[str, int]] = [("product-all", upper)]
     exact = False
-    if _is_geometric(ks.ks):
+    if _is_geometric(ks):
         candidates.append(("geometric-exact", lower))
         exact = True
-    if ks.ks[0] == 1:
+    if ks[0] == 1:
         exact = True
     return BoundsReport(
-        w=ks.width,
-        ks=ks.ks,
+        w=len(ks),
+        ks=ks,
         lower=lower,
         conjectured=lower,
         upper=min(v for _, v in candidates),

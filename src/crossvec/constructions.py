@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from typing import Sequence
 
-from .core import CrossingThresholds, Family, Vector, threshold_seq, verify
+from .core import Family, Vector, threshold_seq, verify
 
 
 def _check_k_w(k: int, w: int, min_k: int = 1, min_w: int = 1) -> None:
@@ -221,11 +221,13 @@ def generalized_product_family(ks) -> Family:
     local threshold, so both directions of a crossing would have to be
     witnessed on coordinate 1 at once, which is impossible.
 
-    ks must be valid CrossingThresholds (positive, nondecreasing); the
-    size realizes the product of all thresholds except the smallest.
+    ks must be a non-empty, positive, nondecreasing sequence; the size
+    realizes the product of all thresholds except the smallest.
     """
-    ks = ks if isinstance(ks, CrossingThresholds) else CrossingThresholds(tuple(ks))
+    ks = threshold_seq(ks, len(ks))
+    if not ks or ks != tuple(sorted(ks)):
+        raise ValueError(f"thresholds must be non-empty and nondecreasing, got {ks}")
     vectors = []
-    for tail in itertools.product(*(range(ki) for ki in ks.ks[1:])):
+    for tail in itertools.product(*(range(ki) for ki in ks[1:])):
         vectors.append((-sum(tail),) + tail)
-    return Family(ks.width, vectors)
+    return Family(len(ks), vectors)

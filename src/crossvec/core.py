@@ -153,63 +153,14 @@ class Family:
         return f"Family(width={self._width}, size={len(self._vectors)})"
 
 
-@dataclass(frozen=True)
-class CrossingThresholds:
-    """Per-coordinate crossing thresholds, 1 <= ks[0] <= ... <= ks[w-1].
-
-    The nondecreasing order is a canonical presentation (coordinates can
-    always be permuted to sort the thresholds); the predicates below
-    also accept raw positive-int sequences when a non-sorted order is
-    genuinely meant.
-    """
-
-    ks: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ks", _as_vector(self.ks))
-        if not self.ks:
-            raise ValueError("thresholds must be non-empty")
-        for k in self.ks:
-            if k < 1:
-                raise ValueError(f"thresholds must be >= 1, got {k}")
-        if any(a > b for a, b in zip(self.ks, self.ks[1:])):
-            raise ValueError(f"thresholds must be nondecreasing, got {self.ks}")
-
-    @classmethod
-    def uniform(cls, k: int, w: int) -> "CrossingThresholds":
-        if w < 1:
-            raise ValueError(f"width must be >= 1, got {w}")
-        return cls((k,) * w)
-
-    @property
-    def width(self) -> int:
-        return len(self.ks)
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.ks)) == 1
-
-    def __len__(self) -> int:
-        return len(self.ks)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ks)
-
-    def __getitem__(self, i: int) -> int:
-        return self.ks[i]
-
-
 def threshold_seq(ks, width: int) -> tuple[int, ...]:
-    """Coerce an int, sequence, or CrossingThresholds to per-coordinate ints.
+    """Coerce an int or a sequence of ints to per-coordinate thresholds.
 
-    A bare int is taken as the uniform threshold.  Raw sequences are only
-    required to be positive (sortedness is a property of the canonical
-    CrossingThresholds type, not of the predicates).  Anything else,
-    such as a bare bool or float, raises ValueError.
+    A bare int is taken as the uniform threshold.  A sequence need only
+    be positive, in any order.  Anything else, such as a bare bool or
+    float, raises ValueError.
     """
-    if isinstance(ks, CrossingThresholds):
-        seq = ks.ks
-    elif isinstance(ks, numbers.Integral) and not isinstance(ks, bool):
+    if isinstance(ks, numbers.Integral) and not isinstance(ks, bool):
         seq = (int(ks),) * width
     else:
         try:
@@ -237,22 +188,13 @@ def is_comparable(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
 
 
-def is_k_crossing(a: Sequence[int], b: Sequence[int], k: int) -> bool:
-    """True iff a[i] - b[i] >= k and b[j] - a[j] >= k for some i, j.
-
-    Symmetric in a and b.  At k = 1 this is exactly "distinct and
-    incomparable"; it is monotone downward in k.
-    """
-    _same_width(a, b)
-    if k < 1:
-        raise ValueError(f"threshold must be >= 1, got {k}")
-    return any(x - y >= k for x, y in zip(a, b)) and any(
-        y - x >= k for x, y in zip(a, b)
-    )
-
-
 def is_generalized_crossing(a: Sequence[int], b: Sequence[int], ks) -> bool:
-    """True iff a[i] - b[i] >= ks[i] and b[j] - a[j] >= ks[j] for some i, j."""
+    """True iff a[i] - b[i] >= ks[i] and b[j] - a[j] >= ks[j] for some i, j.
+
+    ks is an int (the uniform threshold) or one threshold per coordinate.
+    Symmetric in a and b.  At ks = 1 this is exactly "distinct and
+    incomparable"; it is monotone downward in every threshold.
+    """
     _same_width(a, b)
     seq = threshold_seq(ks, len(a))
     return any(x - y >= k for x, y, k in zip(a, b, seq)) and any(
@@ -301,8 +243,8 @@ def _prefix_masks(column: Sequence[int]) -> tuple[list[int], list[int]]:
 def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
     """Check a family: antichain? cross-free for ks? ranked?
 
-    ks may be a single int (uniform threshold), a sequence of positive
-    ints, or a CrossingThresholds.  The flags cover all pairs even when
+    ks may be a single int (uniform threshold) or a sequence of positive
+    ints.  The flags cover all pairs even when
     the violation list is truncated at `violation_cap`; it keeps the
     first violating pairs (a, b) in the canonical order of a, then of b.
 

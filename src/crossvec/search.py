@@ -52,33 +52,39 @@ d[j] <= -ks[j].  So one boolean table T over the differences
 [-L_i, L_i] of a box with limits L holds every adjacency bit, and
 vertex p's row is the window T[L - p : 2L - p + 1]: read in
 lexicographic order, that window lists the bits for q = 0..L in vertex
-order.  The builder computes T once per graph and copies the windows
-of a block of rows at a time (never an n x n matrix).  A rank slice
-keeps a small part of each window, so its rows are read straight from
-the flattened table at index base(p) + offset(q) for the slice's q,
-never through a full box row.  The clique engine works from the top
-bit down (see `clique`), so the graph lists the points in decreasing
-lexicographic order: each row is packed most significant bit first and
-read as a big-endian int, which puts lexicographic position j on bit
-n-1-j, and the list of rows and the coordinate arrays are reversed, so
-vertex i is the point at lexicographic position n-1-i on every side.
-The table's prod(2 L_i + 1) bytes, the n^2/8 bytes of adjacency and
-the clique engine's complement rows all count against the memory
-budget.  The complement rows are charged at the adjacency's size,
-though they keep only the lower half of each row; with W > 1 workers
-each one also holds its own copy of the adjacency and the complement
-rows, (1 + 2W) n^2/8 bytes in all.  The deadline is checked between
-row blocks, so `time_limit` covers the build.
+order.  The builder computes T once per graph and reads a block of
+rows at a time (never an n x n matrix) straight from the flattened
+table: the bit for q in p's row sits at index base(p) + offset(q), so
+a box and a rank slice take the same path.  The clique engine works
+from the top bit down (see `clique`), so the graph lists the points in
+decreasing lexicographic order: each row is packed most significant
+bit first and read as a big-endian int, which puts lexicographic
+position j on bit n-1-j, and the list of rows and the coordinate
+arrays are reversed, so vertex i is the point at lexicographic
+position n-1-i on every side.  The table's prod(2 L_i + 1) bytes, the
+n^2/8 bytes of adjacency and the clique engine's complement rows all
+count against the memory budget.  The complement rows keep only the
+lower half of each row, so they are charged at half the adjacency's
+size, 1.5 n^2/8 bytes with the adjacency; with W > 1 workers each one
+also holds its own copy of the adjacency and the complement rows,
+(1 + 1.5W) n^2/8 bytes in all.  The deadline is checked between row
+blocks, so `time_limit` covers the build.
 
 Symmetry pruning.  The clique engine branches on the maximum vertex,
 which in the graph's decreasing lexicographic order is the
 lexicographically least point.  So roots can soundly be restricted to
-vertices that can be the lexicographically least member of some
-translated image of a maximum family: translation gives every
-coordinate minimum 0, so the least member has first coordinate 0; and
-for a uniform threshold on a cubical box, permuting coordinates is a
-graph automorphism, so the least member of the lexicographically least
-image is a nondecreasing tuple.
+vertices that can be the lexicographically least member of some image
+of a maximum family.  Translation gives every coordinate minimum 0, so
+the least member has first coordinate 0.  Call a class a set of
+coordinates that share both their threshold and their box limit.  Any
+permutation inside a class maps the box onto itself and keeps every
+difference's crossing, so it is a graph automorphism.  Among the images
+of a family under these permutations, take the one whose least member
+u is lexicographically least.  If u[i] > u[j] for coordinates i < j of
+one class, swapping i and j gives an image whose least member is at
+most the swapped u, which is lexicographically smaller than u.  So u is
+nondecreasing within every class.  Uniform thresholds on a cubical box
+form one class, and there the roots are the nondecreasing tuples.
 
 Level covers.  Every search box B has lower limit 0 on each
 coordinate, so the argument under "Box completeness" gives any
@@ -93,9 +99,10 @@ has no vertex left among the candidates, or once one coordinate has
 more required levels unmet than the colour bound allows (a vertex meets
 one level per coordinate).  This composes with the root restriction:
 a gap-free family takes 0 on every coordinate, so its least member has
-first coordinate 0, and permuting the coordinates keeps a family
-gap-free, so the argument under "Symmetry pruning" still finds a
-maximum gap-free clique whose least member is a root.
+first coordinate 0, and a permutation inside a class keeps a family
+gap-free and maps level covers to level covers, so the argument under
+"Symmetry pruning" still finds a maximum gap-free clique whose least
+member is a root.
 
 Clipping.  A gap-free family of m vectors has at most m values on each
 coordinate, so it lies in [0, m-1]^w.  A search with target m therefore
@@ -104,15 +111,15 @@ limits 0.  If B holds a family of m vectors, C holds a gap-free one.  If
 not, every family in B has at most m - 1 vectors and a gap-free copy in
 C, so C's maximum is B's, and a refuted target still reports B's exact
 in-box maximum.  The root restriction and the level covers are argued
-on C alone; the roots are nondecreasing tuples only when the thresholds
-are uniform and C itself is cubical.  The result reports B, whose
-completeness is what makes a refutation global.
+on C alone, so the classes are those of C's limits, not of B's.  The
+result reports B, whose completeness is what makes a refutation global.
 
 Zero covers.  Compression does not keep a constant rank, so ranked
 searches are neither clipped nor given level covers.  They keep the
-weaker consequence of translation alone: one cover per
-coordinate, the vertices at 0 there, which every vertex requires.  The
-root restriction composes with it as with level covers.  In a ranked
+weaker consequence of translation alone: one cover per coordinate, the
+vertices at 0 there, which every vertex requires.  The root restriction
+composes with it as with level covers: a permutation inside a class
+keeps the rank and maps zero covers to zero covers.  In a ranked
 search, translating a family of rank slice r lands it in a slice
 r' <= r (rank drops by the sum of the minima).  Slices are searched in
 increasing rank, and a slice is skipped only when it has no more points
@@ -262,8 +269,9 @@ class CompatibilityGraph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-# Template bytes copied per block of adjacency rows.
-_BLOCK_BYTES = 1 << 22
+# Bytes of gather indices (8 per adjacency bit) per block of rows: the
+# indices are the build's largest temporary.
+_BLOCK_BYTES = 1 << 20
 
 # Per-coordinate code of a difference d: bit 0 d > 0, bit 1 d < 0,
 # bit 2 d >= k, bit 3 d <= -k.  OR-ed over the coordinates, the code
@@ -300,12 +308,12 @@ def _rank_table(box: SearchBox) -> np.ndarray:
 def _check_memory(
     what: str, n: int, box: SearchBox, memory_mb: float, workers: int = 1
 ) -> None:
-    # The clique engine's complement rows are charged at the adjacency's
-    # size, which bounds them.
+    # The clique engine's complement rows keep the lower half of each
+    # row, half the adjacency's size.
     # With several workers, each one unpickles its own adjacency and
     # builds its own complement rows next to the caller's adjacency.
     table = math.prod(2 * x + 1 for x in box.limits)
-    rows = 2 if workers <= 1 else 1 + 2 * workers
+    rows = 1.5 if workers <= 1 else 1 + 1.5 * workers
     est_mb = (rows * n * n / 8 + table) / (1024 * 1024)
     if est_mb > memory_mb:
         per_worker = (
@@ -333,13 +341,12 @@ def build_compatibility_graph(
     sum to `rank`.
 
     Raises BoxTooLargeError with a size estimate when the adjacency
-    bitmasks, the clique engine's complement rows (charged at the same
+    bitmasks, the clique engine's complement rows (charged at half that
     size) and the difference table would exceed `memory_mb`, and
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     seq = threshold_seq(ks, box.width)
     shape = tuple(x + 1 for x in box.limits)
@@ -353,20 +360,13 @@ def build_compatibility_graph(
     _check_memory(what, n, box, memory_mb)
     template = _template(seq, box)
     coords = np.unravel_index(flat, shape)
-    if rank is None:
-        # windows[p] is template[L - p : 2L - p + 1], p's row over the box.
-        windows = sliding_window_view(template, shape)[(slice(None, None, -1),) * len(shape)]
-        block = max(1, _BLOCK_BYTES // n)
-    else:
-        # A slice keeps a small part of each box row, so read its bits
-        # straight from the table: T[q - p + L] at base(p) + offset(q).
-        tshape = template.shape
-        offsets = np.ravel_multi_index(coords, tshape)
-        bases = np.ravel_multi_index(
-            tuple(x - c for x, c in zip(box.limits, coords)), tshape
-        )
-        cells = template.ravel()
-        block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    # The bit for q in p's row is T[q - p + L], at base(p) + offset(q)
+    # of the flattened table.
+    tshape = template.shape
+    offsets = np.ravel_multi_index(coords, tshape)
+    bases = np.ravel_multi_index(tuple(x - c for x, c in zip(box.limits, coords)), tshape)
+    cells = template.ravel()
+    block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     # Packed most significant bit first, position j of a row (in
     # lexicographic order) lands on bit n-1-j once the pad bits are
     # shifted out; reversing the row list then puts vertex i at bit i.
@@ -378,10 +378,7 @@ def build_compatibility_graph(
                 f"time limit reached while building the compatibility graph "
                 f"of the {what} ({i0} of {n} rows built)"
             )
-        if rank is None:
-            rows = windows[tuple(c[i0 : i0 + block] for c in coords)].reshape(-1, n)
-        else:
-            rows = cells[bases[i0 : i0 + block, None] + offsets]
+        rows = cells[bases[i0 : i0 + block, None] + offsets]
         for row in np.packbits(rows, axis=1):
             adj.append(int.from_bytes(row.tobytes(), "big") >> pad)
     adj.reverse()
@@ -391,23 +388,21 @@ def build_compatibility_graph(
 
 
 def _roots(graph: CompatibilityGraph) -> list[int]:
-    # Sound restrictions per the module docstring: first coordinate 0
-    # always; nondecreasing tuples additionally when the thresholds are
-    # uniform and the box cubical (coordinate permutations then act on
-    # the graph).
+    # Sound restrictions per the module docstring ("Symmetry pruning"):
+    # first coordinate 0, and nondecreasing values within each class of
+    # coordinates that share their threshold and their box limit.
     # They come in decreasing index order, which is increasing
     # lexicographic order.
+    classes: dict[tuple[int, int], list[int]] = {}
+    for c, key in enumerate(zip(graph.ks, graph.box.limits)):
+        classes.setdefault(key, []).append(c)
+    pairs = [(a, b) for cls in classes.values() for a, b in zip(cls, cls[1:])]
     vecs = graph.vectors
-    roots = [i for i in range(graph.n - 1, -1, -1) if vecs[i][0] == 0]
-    if (
-        graph.box.width >= 2
-        and len(set(graph.ks)) == 1
-        and len(set(graph.box.limits)) == 1
-    ):
-        roots = [
-            i for i in roots if all(a <= b for a, b in zip(vecs[i], vecs[i][1:]))
-        ]
-    return roots
+    return [
+        i
+        for i in range(graph.n - 1, -1, -1)
+        if vecs[i][0] == 0 and all(vecs[i][a] <= vecs[i][b] for a, b in pairs)
+    ]
 
 
 @dataclass(frozen=True)

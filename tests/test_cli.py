@@ -120,7 +120,7 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "ks,size,nodes,box",
-        (("2,3,3", "9", "19922", "[0,9]^3"), ("1,2,3", "6", "248", "[0,6]^3")),
+        (("2,3,3", "9", "12111", "[0,9]^3"), ("1,2,3", "6", "248", "[0,6]^3")),
         ids=("2-3-3", "1-2-3"),
     )
     def test_per_coordinate_thresholds_certify(self, capsys, ks, size, nodes, box):

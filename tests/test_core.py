@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossvec import (
-    CrossingThresholds,
     Family,
     ParseError,
     dual_orders_check,
     family_from_text,
     family_to_text,
     is_comparable,
+    generalized_bounds,
+    generalized_product_family,
     is_generalized_crossing,
-    is_k_crossing,
     load_family,
     product_family,
     rank,
@@ -82,24 +82,30 @@ class TestFamily:
 
 class TestThresholds:
     def test_validation(self):
+        # threshold_seq rejects a nonpositive threshold; the nondecreasing
+        # callers also reject an empty or a decreasing tuple.
         with pytest.raises(ValueError):
-            CrossingThresholds(())
-        with pytest.raises(ValueError):
-            CrossingThresholds((0, 1))
-        with pytest.raises(ValueError):
-            CrossingThresholds((3, 2))
+            threshold_seq((0, 1), 2)
+        for call in (generalized_bounds, generalized_product_family):
+            with pytest.raises(ValueError):
+                call(())
+            with pytest.raises(ValueError):
+                call((0, 1))
+            with pytest.raises(ValueError):
+                call((3, 2))
 
     def test_uniform(self):
-        t = CrossingThresholds.uniform(3, 4)
-        assert t.ks == (3, 3, 3, 3)
-        assert t.is_uniform
-        assert t.width == 4
-        assert not CrossingThresholds((1, 2)).is_uniform
+        # A bare int is the same threshold on every coordinate.
+        ks = threshold_seq(3, 4)
+        assert ks == (3, 3, 3, 3)
+        rep = generalized_bounds(ks)
+        assert rep.w == 4 and rep.ks == ks
+        assert threshold_seq((1, 2), 2) != threshold_seq(1, 2)
 
     def test_threshold_seq_coercions(self):
         assert threshold_seq(2, 3) == (2, 2, 2)
         assert threshold_seq((1, 2, 2), 3) == (1, 2, 2)
-        assert threshold_seq(CrossingThresholds((2, 5)), 2) == (2, 5)
+        assert threshold_seq([2, 5], 2) == (2, 5)
         # raw sequences need not be sorted, only positive
         assert threshold_seq((3, 1), 2) == (3, 1)
         with pytest.raises(ValueError):
@@ -136,14 +142,14 @@ class TestPredicates:
             is_comparable((0,), (0, 0))
 
     def test_k_crossing_basics(self):
-        assert is_k_crossing((0, 100), (100, 0), 2)
-        assert is_k_crossing((100, 0), (0, 100), 2)
-        assert not is_k_crossing((0, 1), (1, 0), 2)
-        assert is_k_crossing((0, 1), (1, 0), 1)
+        assert is_generalized_crossing((0, 100), (100, 0), 2)
+        assert is_generalized_crossing((100, 0), (0, 100), 2)
+        assert not is_generalized_crossing((0, 1), (1, 0), 2)
+        assert is_generalized_crossing((0, 1), (1, 0), 1)
         # one-sided gaps never cross
-        assert not is_k_crossing((0, 0), (5, 5), 3)
+        assert not is_generalized_crossing((0, 0), (5, 5), 3)
         with pytest.raises(ValueError):
-            is_k_crossing((0, 1), (1, 0), 0)
+            is_generalized_crossing((0, 1), (1, 0), 0)
 
     def test_one_crossing_is_distinct_incomparable(self):
         rng = random.Random(4821)
@@ -152,7 +158,7 @@ class TestPredicates:
             a = tuple(rng.randrange(-3, 4) for _ in range(w))
             b = tuple(rng.randrange(-3, 4) for _ in range(w))
             expect = a != b and not is_comparable(a, b)
-            assert is_k_crossing(a, b, 1) == expect
+            assert is_generalized_crossing(a, b, 1) == expect
 
     def test_monotone_in_k(self):
         rng = random.Random(977)
@@ -160,15 +166,15 @@ class TestPredicates:
             a = tuple(rng.randrange(-6, 7) for _ in range(3))
             b = tuple(rng.randrange(-6, 7) for _ in range(3))
             for k in range(2, 8):
-                if is_k_crossing(a, b, k):
-                    assert is_k_crossing(a, b, k - 1)
+                if is_generalized_crossing(a, b, k):
+                    assert is_generalized_crossing(a, b, k - 1)
 
     def test_generalized(self):
         # gap must clear the threshold of its own coordinate
         assert is_generalized_crossing((0, 5), (3, 0), (3, 5))
         assert not is_generalized_crossing((0, 4), (3, 0), (3, 5))
         assert not is_generalized_crossing((0, 5), (2, 0), (3, 5))
-        t = CrossingThresholds((1, 1, 2))
+        t = (1, 1, 2)
         assert is_generalized_crossing((0, 0, 2), (1, 1, 0), t)
         assert not is_generalized_crossing((0, 0, 1), (1, 1, 0), t)
 
@@ -199,7 +205,7 @@ class TestVerify:
 
     def test_thresholds_forms_agree(self):
         f = product_family(2, 3)
-        for ks in (2, (2, 2, 2), CrossingThresholds.uniform(2, 3)):
+        for ks in (2, (2, 2, 2), [2, 2, 2]):
             assert verify(f, ks).ok
 
     def test_violation_cap(self):

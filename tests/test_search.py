@@ -188,13 +188,13 @@ class TestExistsFamily:
         assert any("box" in note for note in res.notes)
 
     def test_memory_budget_charges_complement_rows(self):
-        # The clique engine's complement rows are as large as the
-        # adjacency, so a budget that fits the adjacency and the
-        # difference table but not both sets of rows truncates.
+        # The clique engine's complement rows keep half of each row, so
+        # a budget that fits the adjacency and the difference table but
+        # not the complement rows too truncates.
         box = SearchBox((20, 20))
         n, table = box.size, 41 * 41
         adjacency_only = (n * n / 8 + table) / 2**20
-        full = (2 * n * n / 8 + table) / 2**20
+        full = (1.5 * n * n / 8 + table) / 2**20
         budget = (adjacency_only + full) / 2
         res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=budget))
         assert res.truncated and not res.exhaustive
@@ -208,11 +208,11 @@ class TestExistsFamily:
 
     def test_memory_budget_charges_each_worker(self):
         # Every worker holds its own adjacency and complement rows next
-        # to the caller's adjacency: (1 + 2W) n^2 / 8 bytes for W workers.
+        # to the caller's adjacency: (1 + 1.5W) n^2 / 8 bytes for W workers.
         box = SearchBox((20, 20))
         n, table = box.size, 41 * 41
-        one_worker = (2 * n * n / 8 + table) / 2**20
-        two_workers = (5 * n * n / 8 + table) / 2**20
+        one_worker = (1.5 * n * n / 8 + table) / 2**20
+        two_workers = (4 * n * n / 8 + table) / 2**20
         limits = SearchLimits(memory_mb=(one_worker + two_workers) / 2)
         res = max_family_in_box(2, box, limits=limits, workers=2)
         assert res.truncated and not res.exhaustive and res.best_size == 0
@@ -303,6 +303,16 @@ class TestMaxFamily:
             ((1, 2), (2, 2)),
             ((2, 2, 2), (2, 2, 2)),
             ((2, 2, 2), (3, 3, 3)),
+            # Classes that prune roots (module docstring, "Symmetry
+            # pruning"): one that leaves out coordinate 0, a uniform k on
+            # a box with two equal limits, and non-contiguous classes;
+            # and a cubical box whose unequal thresholds allow none.
+            ((2, 3, 3), (3, 2, 2)),
+            ((2, 2, 2), (3, 2, 2)),
+            ((3, 2, 3), (3, 3, 3)),
+            ((3, 2, 3, 2), (1, 2, 1, 2)),
+            ((1, 2, 1, 2), (2, 2, 2, 2)),
+            ((1, 3, 2), (3, 3, 3)),
         ):
             expect, _ = brute_max_family(seq, limits)
             res = max_family_in_box(seq, SearchBox(limits))
@@ -312,6 +322,22 @@ class TestMaxFamily:
             assert all(
                 0 <= v[i] <= limits[i] for v in res.witness for i in range(len(seq))
             )
+
+    def test_roots_nondecreasing_within_classes(self):
+        # Coordinates 0 and 2 share threshold 3 and limit 1, coordinates
+        # 1 and 3 threshold 2 and limit 2.  A root has v[0] = 0, which
+        # already gives v[0] <= v[2], and v[1] <= v[3].
+        graph = build_compatibility_graph((3, 2, 3, 2), SearchBox((1, 2, 1, 2)))
+        roots = [graph.vectors[i] for i in search_mod._roots(graph)]
+        assert roots == [
+            v for v in box_points((1, 2, 1, 2)) if v[0] == 0 and v[1] <= v[3]
+        ]
+        # Uniform thresholds on a cubical box: the nondecreasing tuples.
+        graph = build_compatibility_graph(2, SearchBox((2, 2, 2)))
+        roots = [graph.vectors[i] for i in search_mod._roots(graph)]
+        assert roots == [
+            v for v in box_points((2, 2, 2)) if v[0] == 0 and v == tuple(sorted(v))
+        ]
 
     def test_in_box_verdict(self):
         # A box complete for size 5 that holds no family of 5 certifies

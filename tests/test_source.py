@@ -35,3 +35,12 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_public_names_resolve_and_are_sorted():
+    # A name left in __all__ after its object is gone only fails on
+    # `from crossvec import *`; check every name here instead.
+    missing = [name for name in crossvec.__all__ if not hasattr(crossvec, name)]
+    assert not missing, missing
+    assert list(crossvec.__all__) == sorted(crossvec.__all__)
+    assert len(set(crossvec.__all__)) == len(crossvec.__all__)

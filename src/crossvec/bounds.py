@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Family, Vector, threshold_seq, verify
+from .core import Family, Vector, _nondecreasing_thresholds, verify
 
 
 def _check_positive(name: str, value: int, minimum: int = 1) -> None:
@@ -190,9 +190,7 @@ def generalized_bounds(ks) -> BoundsReport:
     (k, k, 2k, ..., 2^(w-2) k), where the lower bound is known to be
     exact.  ks must be a non-empty, positive, nondecreasing sequence.
     """
-    ks = threshold_seq(ks, len(ks))
-    if not ks or ks != tuple(sorted(ks)):
-        raise ValueError(f"thresholds must be non-empty and nondecreasing, got {ks}")
+    ks = _nondecreasing_thresholds(ks)
     lower = 1
     for ki in ks[1:]:
         lower *= ki

@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from typing import Sequence
 
-from .core import Family, Vector, threshold_seq, verify
+from .core import Family, Vector, _nondecreasing_thresholds, verify
 
 
 def _check_k_w(k: int, w: int, min_k: int = 1, min_w: int = 1) -> None:
@@ -224,9 +224,7 @@ def generalized_product_family(ks) -> Family:
     ks must be a non-empty, positive, nondecreasing sequence; the size
     realizes the product of all thresholds except the smallest.
     """
-    ks = threshold_seq(ks, len(ks))
-    if not ks or ks != tuple(sorted(ks)):
-        raise ValueError(f"thresholds must be non-empty and nondecreasing, got {ks}")
+    ks = _nondecreasing_thresholds(ks)
     vectors = []
     for tail in itertools.product(*(range(ki) for ki in ks[1:])):
         vectors.append((-sum(tail),) + tail)

@@ -33,8 +33,9 @@ the number of violating pairs, and walking the set bits lists them in
 coordinates and thresholds of any size.  For n vectors with D distinct
 values per coordinate the masks take about w·D·n/16 bytes (35.8 MiB for
 the 15,625 vectors of the k = 5 inductive lift to width 7), and at most
-twice that: a mask is as long as its highest index.  Neither the kernel
-nor this module uses numpy.
+twice that: a mask is as long as its highest index.  `search` builds
+its compatibility graph from the same masks, and the package uses no
+numpy.
 """
 
 from __future__ import annotations
@@ -174,6 +175,19 @@ def threshold_seq(ks, width: int) -> tuple[int, ...]:
     for k in seq:
         if k < 1:
             raise ValueError(f"thresholds must be >= 1, got {k}")
+    return seq
+
+
+def _nondecreasing_thresholds(ks) -> tuple[int, ...]:
+    # A non-empty, positive, nondecreasing sequence, as the generalized
+    # product family and its bounds take; a bare int has no width.
+    try:
+        width = len(ks)
+    except TypeError:
+        raise ValueError(f"thresholds must be a sequence of ints, got {ks!r}") from None
+    seq = threshold_seq(ks, width)
+    if not seq or seq != tuple(sorted(seq)):
+        raise ValueError(f"thresholds must be non-empty and nondecreasing, got {seq}")
     return seq
 
 
@@ -400,18 +414,28 @@ def family_from_text(text: str) -> Family:
     return Family(width, vectors)
 
 
+def _read_text(path) -> str:
+    # The text of a file, or of stdin when path is "-".
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(text: str, path) -> None:
+    # Write to a file, or to stdout when path is "-".
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def load_family(path) -> Family:
     """Read a family from a text file, or from stdin when path is "-"."""
-    if path == "-":
-        return family_from_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_text(fh.read())
+    return family_from_text(_read_text(path))
 
 
 def save_family(family: Family, path) -> None:
     """Write a family to a text file, or to stdout when path is "-"."""
-    if path == "-":
-        sys.stdout.write(family_to_text(family))
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(family_to_text(family))
+    _write_text(family_to_text(family), path)

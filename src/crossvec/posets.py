@@ -20,11 +20,10 @@ pass.  The same machinery runs unchanged on the M(P) order.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Family, ParseError, verify
+from .core import Family, ParseError, _read_text, _write_text, verify
 
 Label = str
 
@@ -619,16 +618,9 @@ def poset_from_text(text: str) -> Poset:
 
 def load_poset(path) -> Poset:
     """Read a poset from a text file, or from stdin when path is "-"."""
-    if path == "-":
-        return poset_from_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return poset_from_text(fh.read())
+    return poset_from_text(_read_text(path))
 
 
 def save_poset(p: Poset, path) -> None:
     """Write a poset to a text file, or to stdout when path is "-"."""
-    if path == "-":
-        sys.stdout.write(poset_to_text(p))
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(poset_to_text(p))
+    _write_text(poset_to_text(p), path)

@@ -45,30 +45,33 @@ k-crossing against u[i] - v[i] = V >= k caps that at k - 1.  Hence all
 values are at most (w-1)(k-1) and ranked search over all rank slices of
 [0, (w-1)(k-1)]^w is exhaustive.
 
-Graph build.  Both edge predicates are functions of the difference
-d = q - p alone: p and q are 1-crossing iff d has a positive and a
-negative coordinate, and ks-crossing iff some d[i] >= ks[i] while some
-d[j] <= -ks[j].  So one boolean table T over the differences
-[-L_i, L_i] of a box with limits L holds every adjacency bit, and
-vertex p's row is the window T[L - p : 2L - p + 1]: read in
-lexicographic order, that window lists the bits for q = 0..L in vertex
-order.  The builder computes T once per graph and reads a block of
-rows at a time (never an n x n matrix) straight from the flattened
-table: the bit for q in p's row sits at index base(p) + offset(q), so
-a box and a rank slice take the same path.  The clique engine works
-from the top bit down (see `clique`), so the graph lists the points in
-decreasing lexicographic order: each row is packed most significant
-bit first and read as a big-endian int, which puts lexicographic
-position j on bit n-1-j, and the list of rows and the coordinate
-arrays are reversed, so vertex i is the point at lexicographic
-position n-1-i on every side.  The table's prod(2 L_i + 1) bytes, the
-n^2/8 bytes of adjacency and the clique engine's complement rows all
-count against the memory budget.  The complement rows keep only the
-lower half of each row, so they are charged at half the adjacency's
-size, 1.5 n^2/8 bytes with the adjacency; with W > 1 workers each one
-also holds its own copy of the adjacency and the complement rows,
-(1 + 1.5W) n^2/8 bytes in all.  The deadline is checked between row
-blocks, so `time_limit` covers the build.
+Graph build.  The vertices, a box's points or one rank slice's, are
+listed in decreasing lexicographic order, and vertex i is bit i of
+every bit set: the clique engine works from the top bit down (see
+`clique`), so its largest vertex is the least point.  Per coordinate c
+the builder takes the prefix masks of `core.verify` over the vertices'
+c-values, and from them, for each attained value x, four bit sets: the
+vertices q with q[c] < x, with q[c] <= x, with q[c] <= x - ks[c], and
+with q[c] < x + ks[c].  For a vertex p, `lower` and `far_below` are the
+ORs of the first and third over the coordinates at x = p[c], and
+`at_most` and `near` the ANDs of the second and fourth.  q is
+1-crossing p iff it lies below p somewhere and above it somewhere,
+lower & ~at_most, and ks-crossing iff it lies ks[i] below on some i and
+ks[j] above on some j, far_below & ~near.  So p's row is
+lower & ~at_most & ~(far_below & ~near), which never holds p itself.
+Rows that share all but their last coordinate share the ORs and ANDs
+over the others, computed once per run of such rows.  The same prefix
+masks give each coordinate's level bit sets (the vertices at each
+value), from which the clique engine's covers are taken.  The n^2/8
+bytes of adjacency, the clique engine's complement rows and the
+build's masks all count against the memory budget.  The complement
+rows keep only the lower half of each row, so they are charged at half
+the adjacency's size, 1.5 n^2/8 bytes with the adjacency; with W > 1
+workers each one also holds its own copy of the adjacency and the
+complement rows, (1 + 1.5W) n^2/8 bytes in all.  The masks are L_i + 2
+prefix masks and L_i + 1 level bit sets of at most n bits for each
+coordinate with limit L_i, sum(2 L_i + 3) n/8 bytes.  The deadline is
+checked between blocks of rows, so `time_limit` covers the build.
 
 Symmetry pruning.  The clique engine branches on the maximum vertex,
 which in the graph's decreasing lexicographic order is the
@@ -144,21 +147,18 @@ with `dataclasses.replace`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 # max_clique is unused here but stays importable: perfbench wraps both.
 from .clique import max_clique, max_clique_parallel  # noqa: F401
 from .constructions import generalized_product_family
-from .core import Family, Vector, threshold_seq, verify
-
-if TYPE_CHECKING:
-    import numpy as np
-
+from .core import Family, Vector, _prefix_masks, threshold_seq, verify
 
 class BoxTooLargeError(RuntimeError):
     """The requested box exceeds the adjacency-memory budget."""
@@ -178,12 +178,22 @@ class SearchLimits:
     `nodes` never exceeds it, and with several workers each gets a share
     of what is left, the shares summing to it.  Under tight caps the
     exact truncation point can therefore vary with the worker count;
-    within the caps, results are schedule-independent.
+    within the caps, results are schedule-independent.  A negative or
+    NaN cap raises ValueError; a zero time or node limit truncates.
     """
 
     time_limit: float | None = 60.0
     node_limit: int | None = 5_000_000
     memory_mb: float = 512.0
+
+    def __post_init__(self):
+        # "not x >= 0" rather than "x < 0", so that NaN is refused too.
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
+        if self.node_limit is not None and not self.node_limit >= 0:
+            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
+        if not self.memory_mb > 0:
+            raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
 
 
 @dataclass(frozen=True)
@@ -252,14 +262,14 @@ class CompatibilityGraph:
     it, in decreasing lexicographic order, so that the clique engine's
     largest vertex is the least point (module docstring, "Graph build");
     adjacency rows are int bitmasks over vertex indices, vertex i on
-    bit i.  `coords[i]` holds every vertex's coordinate i as an integer
-    array in the same order."""
+    bit i.  `levels[c][x]` is the bit set of the vertices whose
+    coordinate c is x, for x in 0..box.limits[c]."""
 
     ks: tuple[int, ...]
     box: SearchBox
     vectors: tuple[Vector, ...]
     adj: list[int]
-    coords: tuple[np.ndarray, ...]
+    levels: tuple[list[int], ...]
 
     @property
     def n(self) -> int:
@@ -269,40 +279,8 @@ class CompatibilityGraph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-# Bytes of gather indices (8 per adjacency bit) per block of rows: the
-# indices are the build's largest temporary.
-_BLOCK_BYTES = 1 << 20
-
-# Per-coordinate code of a difference d: bit 0 d > 0, bit 1 d < 0,
-# bit 2 d >= k, bit 3 d <= -k.  OR-ed over the coordinates, the code
-# marks an edge iff it has both sign bits and not both threshold bits.
-_EDGE_CODE = tuple(c & 3 == 3 and c & 12 != 12 for c in range(16))
-
-# numpy is imported inside the functions below that use it, so that
-# `import crossvec` (and the verify-only CLI commands) do not load it.
-
-
-def _template(seq, box: SearchBox) -> np.ndarray:
-    """The edge table T over differences: T[d + L] for d in [-L, L]."""
-    import numpy as np
-
-    edge = np.array(_EDGE_CODE)
-    codes = []
-    for k, side in zip(seq, box.limits):
-        d = np.arange(-side, side + 1)
-        code = (d > 0) | (d < 0) << 1 | (d >= k) << 2 | (d <= -k) << 3
-        codes.append(code.astype(np.uint8))
-    rest = functools.reduce(np.bitwise_or.outer, codes[1:], np.zeros((), np.uint8))
-    table = np.empty(tuple(2 * x + 1 for x in box.limits), dtype=bool)
-    for j, code in enumerate(codes[0]):  # a slab at a time bounds temporaries
-        table[j] = edge[rest | code]
-    return table
-
-
-def _rank_table(box: SearchBox) -> np.ndarray:
-    import numpy as np
-
-    return functools.reduce(np.add.outer, (np.arange(x + 1) for x in box.limits))
+# Rows built between two deadline checks.
+_CHECK_ROWS = 256
 
 
 def _check_memory(
@@ -312,9 +290,11 @@ def _check_memory(
     # row, half the adjacency's size.
     # With several workers, each one unpickles its own adjacency and
     # builds its own complement rows next to the caller's adjacency.
-    table = math.prod(2 * x + 1 for x in box.limits)
+    # The build holds L + 2 prefix masks and L + 1 level bit sets of at
+    # most n bits for each coordinate with limit L.
+    masks = sum(2 * x + 3 for x in box.limits) * n / 8
     rows = 1.5 if workers <= 1 else 1 + 1.5 * workers
-    est_mb = (rows * n * n / 8 + table) / (1024 * 1024)
+    est_mb = (rows * n * n / 8 + masks) / (1024 * 1024)
     if est_mb > memory_mb:
         per_worker = (
             f", with their own adjacency and complement rows for each of {workers} workers,"
@@ -323,7 +303,7 @@ def _check_memory(
         )
         raise BoxTooLargeError(
             f"{what} has {n} lattice points; adjacency, its complement rows "
-            f"and difference table{per_worker} would need about {est_mb:.4g} MiB, "
+            f"and coordinate masks{per_worker} would need about {est_mb:.4g} MiB, "
             f"over the {memory_mb:g} MiB budget"
         )
 
@@ -338,53 +318,67 @@ def build_compatibility_graph(
     """Materialize the compatibility graph of a box or of one rank slice.
 
     With `rank` given, the vertices are the box points whose coordinates
-    sum to `rank`.
+    sum to `rank`.  Each row comes from per-coordinate prefix masks
+    (module docstring, "Graph build").
 
     Raises BoxTooLargeError with a size estimate when the adjacency
     bitmasks, the clique engine's complement rows (charged at half that
-    size) and the difference table would exceed `memory_mb`, and
+    size) and the build's coordinate masks would exceed `memory_mb`, and
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """
-    import numpy as np
-
     seq = threshold_seq(ks, box.width)
-    shape = tuple(x + 1 for x in box.limits)
+    ranges = [range(x, -1, -1) for x in box.limits]  # decreasing lexicographic order
     if rank is None:
         what = f"box {box}"
-        flat = np.arange(box.size)
+        vectors = tuple(itertools.product(*ranges))
     else:
         what = f"rank-{rank} slice of box {box}"
-        flat = np.flatnonzero(_rank_table(box) == rank)
-    n = len(flat)
+        # The last coordinate is what the others leave of the rank.
+        vectors = tuple(
+            (*h, rank - s)
+            for h in itertools.product(*ranges[:-1])
+            if 0 <= rank - (s := sum(h)) <= box.limits[-1]
+        )
+    n = len(vectors)
     _check_memory(what, n, box, memory_mb)
-    template = _template(seq, box)
-    coords = np.unravel_index(flat, shape)
-    # The bit for q in p's row is T[q - p + L], at base(p) + offset(q)
-    # of the flattened table.
-    tshape = template.shape
-    offsets = np.ravel_multi_index(coords, tshape)
-    bases = np.ravel_multi_index(tuple(x - c for x, c in zip(box.limits, coords)), tshape)
-    cells = template.ravel()
-    block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-    # Packed most significant bit first, position j of a row (in
-    # lexicographic order) lands on bit n-1-j once the pad bits are
-    # shifted out; reversing the row list then puts vertex i at bit i.
-    pad = -n % 8
+    # tables[c][x]: the vertices q with q[c] < x, q[c] <= x, q[c] <= x - k
+    # and q[c] < x + k, for each attained value x of coordinate c.
+    tables, levels = [], []
+    for column, k, top in zip(list(zip(*vectors)) or [()] * box.width, seq, box.limits):
+        values, prefix = _prefix_masks(column)
+        table, level = {}, [0] * (top + 1)
+        for t, x in enumerate(values):
+            far, near = bisect_right(values, x - k), bisect_left(values, x + k)
+            table[x] = (prefix[t], prefix[t + 1], prefix[far], prefix[near])
+            level[x] = prefix[t + 1] ^ prefix[t]
+        tables.append(table)
+        levels.append(level)
+    *heads, last = tables
     adj: list[int] = []
-    for i0 in range(0, n, block):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BuildDeadlineError(
-                f"time limit reached while building the compatibility graph "
-                f"of the {what} ({i0} of {n} rows built)"
-            )
-        rows = cells[bases[i0 : i0 + block, None] + offsets]
-        for row in np.packbits(rows, axis=1):
-            adj.append(int.from_bytes(row.tobytes(), "big") >> pad)
-    adj.reverse()
-    coords = tuple(c[::-1] for c in coords)
-    vectors = tuple(zip(*(c.tolist() for c in coords)))
-    return CompatibilityGraph(seq, box, vectors, adj, coords)
+    check = 0  # the row count at the next deadline check
+    # Rows that share all but the last coordinate share the heads' masks.
+    for head, run in itertools.groupby(vectors, key=lambda v: v[:-1]):
+        if deadline is not None and len(adj) >= check:
+            if time.monotonic() > deadline:
+                raise BuildDeadlineError(
+                    f"time limit reached while building the compatibility graph "
+                    f"of the {what} ({len(adj)} of {n} rows built)"
+                )
+            check = len(adj) + _CHECK_ROWS
+        lower = far_below = 0
+        at_most = near = -1
+        for table, x in zip(heads, head):
+            a, b, c, d = table[x]
+            lower |= a
+            at_most &= b
+            far_below |= c
+            near &= d
+        for v in run:
+            a, b, c, d = last[v[-1]]
+            # lower & ~at_most & ~(far_below & ~near), with one NOT.
+            adj.append((lower | a) & ~(at_most & b | (far_below | c) & ~(near & d)))
+    return CompatibilityGraph(seq, box, vectors, adj, tuple(levels))
 
 
 def _roots(graph: CompatibilityGraph) -> list[int]:
@@ -477,27 +471,17 @@ def _covers(graph: CompatibilityGraph, levels: bool):
     Otherwise one cover per coordinate, the vertices at 0 there, which
     every vertex requires (requires None).
     """
-    import numpy as np
-
     if not levels:
-        flags = np.stack([c == 0 for c in graph.coords])
-    else:
-        # Row (i, l) flags the vertices at level l on coordinate i.
-        flags = np.concatenate(
-            [c == np.arange(top + 1)[:, None] for c, top in zip(graph.coords, graph.box.limits)]
-        )
-    rows = np.packbits(flags, axis=1, bitorder="little")
-    covers = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    if not levels:
-        return covers, None
-    prefixes = []
+        return [level[0] for level in graph.levels], None
+    covers = [bits for level in graph.levels for bits in level]
+    requires = [0] * graph.n
     first = 0  # index of this coordinate's level-0 cover
-    for c, top in zip(graph.coords, graph.box.limits):
+    for level, column in zip(graph.levels, zip(*graph.vectors)):
         # prefix[l] is the bit set of this coordinate's covers for levels 0..l.
-        prefix = np.array([((2 << l) - 1) << first for l in range(top + 1)], dtype=object)
-        prefixes.append(prefix[c])
-        first += top + 1
-    return covers, functools.reduce(np.bitwise_or, prefixes).tolist()
+        prefix = [((2 << l) - 1) << first for l in range(len(level))]
+        requires = list(map(operator.or_, requires, map(prefix.__getitem__, column)))
+        first += len(level)
+    return covers, requires
 
 
 def _search(
@@ -514,6 +498,8 @@ def _search(
     The result is never exhaustive: the entry points judge that.  Its
     notes hold only a build error's text, if the build raised one.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.monotonic()
     deadline = None if limits.time_limit is None else start + limits.time_limit
     levels = not ranked
@@ -521,10 +507,11 @@ def _search(
     if levels and stop_at is not None:
         searched = replace(box, limits=tuple(min(x, stop_at - 1) for x in box.limits))
     if ranked:
-        import numpy as np
-
         what = f"largest rank slice of box {box}"
-        slices = list(enumerate(np.bincount(_rank_table(box).ravel()).tolist()))
+        counts = [1]  # counts[r]: the points of rank r, one coordinate at a time
+        for x in box.limits:
+            counts = [sum(counts[max(0, r - x) : r + 1]) for r in range(len(counts) + x)]
+        slices = list(enumerate(counts))
     else:
         what = f"box {searched}"
         slices = [(None, searched.size)]
@@ -701,11 +688,10 @@ def ranked_max_family_size(
     Searches every rank slice of [0, (w-1)(k-1)]^w, which is complete
     for constant-rank families by the translation argument in the module
     docstring.  The certified value equals k^(w-1) wherever the search
-    completes.  The box's difference table and its largest slice's
-    adjacency and complement rows are charged against `memory_mb` before
-    any slice is built;
-    going over, or running out of time while building a slice, returns a
-    truncated result whose note is the build's error.
+    completes.  The largest slice's adjacency, complement rows and
+    coordinate masks are charged against `memory_mb` before any slice is
+    built; going over, or running out of time while building a slice,
+    returns a truncated result whose note is the build's error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -140,6 +140,8 @@ class TestGeneralizedBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
             generalized_bounds((3, 2))
+        with pytest.raises(ValueError, match="sequence"):
+            generalized_bounds(5)  # a bare int has no width
 
 
 class TestResidueSignature:

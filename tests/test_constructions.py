@@ -222,6 +222,8 @@ class TestGeneralizedProduct:
             generalized_product_family((3, 2))
         with pytest.raises(ValueError):
             generalized_product_family((0, 1))
+        with pytest.raises(ValueError, match="sequence"):
+            generalized_product_family(5)  # a bare int has no width
 
 
 class TestNonRankedExample:

@@ -115,12 +115,21 @@ class TestCompatibilityGraph:
             ((2, 2, 2, 2), (2, 2, 2, 2), None),
             ((3, 3, 3), (4, 4, 4), 6),
             ((1, 2, 3), (4, 2, 3), 4),
+            ((2, 2), (2, 2), 5),  # an empty rank slice
+            ((3,), (5,), None),  # w = 1
+            ((2,), (4,), 3),
+            ((2, 2, 2), (0, 0, 0), None),  # a single point
+            ((3, 1, 2), (5, 2, 4), 5),  # per-coordinate ks, non-cubical slice
         ):
             g = build_compatibility_graph(ks, SearchBox(limits), rank=rank)
             # Vertices come in decreasing lexicographic order.
             pts = [p for p in box_points(limits) if rank is None or sum(p) == rank][::-1]
             assert g.vectors == tuple(pts)
-            assert all(tuple(c.tolist()) == col for c, col in zip(g.coords, zip(*pts)))
+            assert len(g.adj) == g.n == len(pts)
+            for c, top in enumerate(limits):
+                for x in range(top + 1):
+                    at = sum(1 << i for i, p in enumerate(pts) if p[c] == x)
+                    assert g.levels[c][x] == at
             free = 0
             for i in range(g.n):
                 assert not g.adj[i] >> i & 1
@@ -169,6 +178,27 @@ class TestExistsFamily:
         res = exists_family(2, 2, 3, limits=SearchLimits(node_limit=1))
         assert res.truncated and not res.exhaustive and not res.found
 
+    @pytest.mark.parametrize(
+        "caps,workers",
+        [
+            ({"memory_mb": float("nan")}, 1),
+            ({"memory_mb": 0}, 1),
+            ({"node_limit": -3}, 1),
+            ({"time_limit": -1.0}, 1),
+            ({"time_limit": float("nan")}, 1),
+            ({}, 0),
+            ({}, -2),
+        ],
+    )
+    def test_bad_limits_raise(self, caps, workers):
+        # Each of these used to pass silently: a NaN budget switched the
+        # memory check off, a negative node limit truncated at 0 nodes,
+        # and fewer than one worker ran serially.
+        with pytest.raises(ValueError):
+            exists_family(2, 3, 5, limits=SearchLimits(**caps), workers=workers)
+        with pytest.raises(ValueError):
+            ranked_max_family_size(2, 3, SearchLimits(**caps), workers=workers)
+
     def test_node_limit_is_one_budget_for_the_run(self):
         # The refused node is not counted, and workers share the budget.
         box = compression_box(3, 3, 10)
@@ -189,18 +219,20 @@ class TestExistsFamily:
 
     def test_memory_budget_charges_complement_rows(self):
         # The clique engine's complement rows keep half of each row, so
-        # a budget that fits the adjacency and the difference table but
-        # not the complement rows too truncates.
+        # a budget that fits the adjacency and the coordinate masks but
+        # not the complement rows too truncates.  Each coordinate with
+        # limit L takes L + 2 prefix masks and L + 1 level bit sets.
         box = SearchBox((20, 20))
-        n, table = box.size, 41 * 41
-        adjacency_only = (n * n / 8 + table) / 2**20
-        full = (1.5 * n * n / 8 + table) / 2**20
+        n = box.size
+        masks = 2 * (2 * 20 + 3) * n / 8
+        adjacency_only = (n * n / 8 + masks) / 2**20
+        full = (1.5 * n * n / 8 + masks) / 2**20
         budget = (adjacency_only + full) / 2
         res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=budget))
         assert res.truncated and not res.exhaustive
         assert res.best_size == 0
         (note,) = res.notes
-        assert "adjacency, its complement rows and difference table" in note
+        assert "adjacency, its complement rows and coordinate masks" in note
         with pytest.raises(BoxTooLargeError):
             build_compatibility_graph(2, box, memory_mb=budget)
         res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=full * 1.01))
@@ -210,9 +242,10 @@ class TestExistsFamily:
         # Every worker holds its own adjacency and complement rows next
         # to the caller's adjacency: (1 + 1.5W) n^2 / 8 bytes for W workers.
         box = SearchBox((20, 20))
-        n, table = box.size, 41 * 41
-        one_worker = (1.5 * n * n / 8 + table) / 2**20
-        two_workers = (4 * n * n / 8 + table) / 2**20
+        n = box.size
+        masks = 2 * (2 * 20 + 3) * n / 8
+        one_worker = (1.5 * n * n / 8 + masks) / 2**20
+        two_workers = (4 * n * n / 8 + masks) / 2**20
         limits = SearchLimits(memory_mb=(one_worker + two_workers) / 2)
         res = max_family_in_box(2, box, limits=limits, workers=2)
         assert res.truncated and not res.exhaustive and res.best_size == 0

@@ -27,9 +27,14 @@ def test_no_assert_statements():
 
 
 def test_import_does_not_load_numpy():
-    # Only the graph build of `search` needs numpy; importing the package
-    # and its CLI (and so running `crossvec verify`) must not load it.
-    code = "import sys, crossvec, crossvec.cli; print('numpy' in sys.modules)"
+    # The package runs on the standard library: importing it and its CLI,
+    # and searching a box and rank slices, must not load numpy.
+    code = (
+        "import sys, crossvec, crossvec.cli\n"
+        "assert crossvec.exists_family(2, 3, 5).found is False\n"
+        "assert crossvec.ranked_max_family_size(2, 3).best_size == 4\n"
+        "print('numpy' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(crossvec.__file__).parent.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -129,20 +129,35 @@ increasing rank, and a slice is skipped only when it has no more points
 than the incumbent, so every family larger than the incumbent has an
 equally large covering copy in a slice that was searched.
 
+Mirrored slices.  Let S be the sum of the box limits.  A ranked search
+visits only the slices of rank 0..floor(S/2).  Take a verifying family
+F of rank r in the box that takes 0 on every coordinate, and let M_c be
+its maximum on coordinate c.  The map x -> (M_c - x_c) negates and
+translates, so it keeps every difference's comparability and crossing;
+its image takes 0 and M_c on every coordinate, lies in the box, and has
+constant rank M_F - r, where M_F = sum M_c <= S.  If r > floor(S/2),
+that rank is at most S - r <= floor(S/2).  So every covering family of
+an upper slice has a covering copy of the same size in a lower one,
+and the cut composes with translation, zero covers, class roots and the
+skip of slices no larger than the incumbent.  The search starts from
+the translated `product_family(k, w)`, k^(w-1) vectors of one rank, as
+incumbent and witness, so slices of at most k^(w-1) points are skipped
+and the others need only refute k^(w-1) + 1.
+
 One driver.  Every search mode (existence, in-box maximum, the growing
 boxes of `max_family_size`, constant rank) goes through one private
 driver that treats a box as a single slice and a ranked search as the
-rank slices of its box in increasing rank.  It alone derives the
+lower rank slices of its box in increasing rank.  It alone derives the
 deadline from `time_limit`, charges the largest slice against
 `memory_mb` before building anything, turns a BoxTooLargeError or
 BuildDeadlineError into a truncated result whose note is the error,
 hands the clique engine the time and nodes left of the budget, and
-checks with a raising check (not an assert) that the witness verifies
-and has exactly the reported size.  It returns the SearchResult with
-size, witness, nodes, time, box and truncation filled in and
-exhaustive=False; each entry point only adds its verdict (exhaustive,
-target and found, and a note unless the build error already is one)
-with `dataclasses.replace`.
+checks with a raising check (not an assert) that the witness verifies,
+has exactly the reported size and, in a ranked search, constant rank.
+It returns the SearchResult with size, witness, nodes, time, box and
+truncation filled in and exhaustive=False; each entry point only adds
+its verdict (exhaustive, target and found, and a note unless the build
+error already is one) with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -157,7 +172,7 @@ from typing import Iterable
 
 # max_clique is unused here but stays importable: perfbench wraps both.
 from .clique import max_clique, max_clique_parallel  # noqa: F401
-from .constructions import generalized_product_family
+from .constructions import generalized_product_family, product_family
 from .core import Family, Vector, _prefix_masks, threshold_seq, verify
 
 class BoxTooLargeError(RuntimeError):
@@ -489,12 +504,14 @@ def _search(
 ) -> SearchResult:
     """The one search driver (module docstring, "One driver").
 
-    Searches the box as one slice, or with `ranked` its rank slices in
-    increasing rank, skipping any slice no larger than the incumbent.
-    A box search uses level covers, and with a target `stop_at` it
-    searches only box ∩ [0, stop_at - 1]^w (module docstring, "Level
-    covers" and "Clipping"); the result still reports `box`.  A ranked
-    search uses zero covers.
+    Searches the box as one slice, or with `ranked` its rank slices
+    0..floor(sum(limits)/2) in increasing rank, starting from the
+    translated product family (module docstring, "Mirrored slices") and
+    skipping any slice no larger than the incumbent.  A box search uses
+    level covers, and with a target `stop_at` it searches only
+    box ∩ [0, stop_at - 1]^w (module docstring, "Level covers" and
+    "Clipping"); the result still reports `box`.  A ranked search uses
+    zero covers.
     The result is never exhaustive: the entry points judge that.  Its
     notes hold only a build error's text, if the build raised one.
     """
@@ -506,16 +523,20 @@ def _search(
     searched = box
     if levels and stop_at is not None:
         searched = replace(box, limits=tuple(min(x, stop_at - 1) for x in box.limits))
+    best, witness, nodes, truncated, notes = 0, Family(box.width), 0, False, ()
     if ranked:
         what = f"largest rank slice of box {box}"
         counts = [1]  # counts[r]: the points of rank r, one coordinate at a time
         for x in box.limits:
             counts = [sum(counts[max(0, r - x) : r + 1]) for r in range(len(counts) + x)]
-        slices = list(enumerate(counts))
+        # The upper slices mirror into the lower ones ("Mirrored slices").
+        slices = list(enumerate(counts[: sum(box.limits) // 2 + 1]))
+        seed = product_family(seq[0], box.width)
+        witness = seed.translate([-min(column) for column in zip(*seed)])
+        best = len(witness)
     else:
         what = f"box {searched}"
         slices = [(None, searched.size)]
-    best, witness, nodes, truncated, notes = 0, Family(box.width), 0, False, ()
     try:
         _check_memory(what, max(n for _, n in slices), searched, limits.memory_mb, workers)
         for rank, n in slices:
@@ -537,9 +558,11 @@ def _search(
         truncated, notes = True, (str(exc),)
     # A raising check, not an assert: python -O must not let a wrong
     # witness through.
-    if len(witness) != best or not verify(witness, seq).ok:
+    report = verify(witness, seq)
+    if len(witness) != best or not report.ok or (ranked and not report.is_ranked):
+        kind = "constant-rank verifying family" if ranked else "verifying family"
         raise RuntimeError(
-            f"search produced a witness that is not a verifying family of "
+            f"search produced a witness that is not a {kind} of "
             f"size {best}: {list(witness.vectors)}"
         )
     return SearchResult(
@@ -685,13 +708,17 @@ def ranked_max_family_size(
 ) -> SearchResult:
     """Certified maximum size of a constant-rank verifying family.
 
-    Searches every rank slice of [0, (w-1)(k-1)]^w, which is complete
-    for constant-rank families by the translation argument in the module
-    docstring.  The certified value equals k^(w-1) wherever the search
-    completes.  The largest slice's adjacency, complement rows and
-    coordinate masks are charged against `memory_mb` before any slice is
-    built; going over, or running out of time while building a slice,
-    returns a truncated result whose note is the build's error.
+    The box [0, (w-1)(k-1)]^w is complete for constant-rank families by
+    the translation argument in the module docstring, and its rank
+    slices above half its rank spread mirror into the lower ones
+    ("Mirrored slices"), so only slices 0..floor(w(w-1)(k-1)/2) are
+    searched.  The search starts from the product family's k^(w-1)
+    vectors, so the certified value is k^(w-1) wherever the search
+    completes, and even a truncated result reports at least that.  The
+    largest slice's adjacency, complement rows and coordinate masks are
+    charged against `memory_mb` before any slice is built; going over,
+    or running out of time while building a slice, returns a truncated
+    result whose note is the build's error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -708,7 +735,8 @@ def ranked_max_family_size(
     else:
         note = (
             f"certified maximum constant-rank family size {res.best_size} (box "
-            f"{box}, all rank slices 0..{w * side})"
+            f"{box}, rank slices 0..{w * side // 2} of 0..{w * side}, the upper "
+            f"ones by reflection)"
         )
     return replace(res, exhaustive=not res.truncated, notes=res.notes or (note,))
 

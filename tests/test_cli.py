@@ -166,13 +166,15 @@ class TestSearchCommand:
         assert records(out)["truncated"] == "yes"
 
     def test_memory_guard_truncates(self, capsys):
-        for argv in (
-            ("--k", "2", "--w", "2", "--target", "60", "--memory-mb", "0.1"),
-            ("--k", "2", "--w", "4", "--ranked", "--memory-mb", "0.0001"),
+        # A refused ranked search still reports its seed, the product family.
+        for argv, best in (
+            (("--k", "2", "--w", "2", "--target", "60", "--memory-mb", "0.1"), "0"),
+            (("--k", "2", "--w", "4", "--ranked", "--memory-mb", "0.0001"), "8"),
         ):
             code, out, _ = run_cli(capsys, "search", *argv, "--format", "records")
             assert code == 3
             assert records(out)["truncated"] == "yes"
+            assert records(out)["best_size"] == best
             assert "note:" in out
 
     def test_deterministic_is_byte_identical(self, capsys):

@@ -301,6 +301,14 @@ class TestExistsFamily:
         with pytest.raises(RuntimeError):
             ranked_max_family_size(2, 3)
 
+    def test_ranked_witness_check_requires_constant_rank(self, monkeypatch):
+        # A verifying witness of several ranks fails a ranked search.
+        mixed = SimpleNamespace(ok=True, is_ranked=False)
+        monkeypatch.setattr(search_mod, "verify", lambda *a, **kw: mixed)
+        with pytest.raises(RuntimeError, match="constant-rank"):
+            ranked_max_family_size(2, 3)
+        assert exists_family(2, 2, 2).found
+
 
 class TestMaxFamily:
     def test_known_small_values(self):
@@ -432,9 +440,10 @@ class TestWitnessPins:
         )
 
 
-def zero_cover_max(k, limits):
-    """In-box maximum from the engine with zero covers only, all roots."""
-    graph = build_compatibility_graph(k, SearchBox(limits))
+def zero_cover_max(k, limits, rank=None):
+    """In-box (or rank-slice) maximum from the engine with zero covers
+    only, all roots."""
+    graph = build_compatibility_graph(k, SearchBox(limits), rank=rank)
     covers = [
         sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
         for j in range(len(limits))
@@ -486,7 +495,7 @@ class TestLevelCovers:
         res = exists_family((2, 3, 3), 3, 6)
         assert res.found and str(res.box) == "[0,5]^3"
         assert res.nodes == 18
-        assert ranked_max_family_size(3, 4).nodes == 1_239
+        assert ranked_max_family_size(3, 4).nodes == 1_071
 
 
 class TestRankedSearch:
@@ -502,8 +511,30 @@ class TestRankedSearch:
         res = ranked_max_family_size(2, 3)
         assert res.box.limits == (2, 2, 2)  # (w-1)(k-1) = 2
 
+    @pytest.mark.parametrize("k,w", [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)])
+    def test_upper_slices_mirror_into_lower(self, k, w):
+        # Every slice's zero-cover maximum over all roots: no slice above
+        # half the rank spread beats the lower half, and the search, which
+        # visits only the lower half, returns the maximum over all slices.
+        side = (w - 1) * (k - 1)
+        half = w * side // 2
+        sizes = [zero_cover_max(k, (side,) * w, r) for r in range(w * side + 1)]
+        assert max(sizes[half + 1 :], default=0) <= max(sizes[: half + 1])
+        res = ranked_max_family_size(k, w)
+        assert res.best_size == max(sizes) == k ** (w - 1) and res.exhaustive
+
+    def test_nodes_do_not_depend_on_workers(self):
+        # The seed is never beaten, so every root refutes the same bound
+        # whatever the schedule.  Unseeded, (2,6) took 23,156 nodes on one
+        # worker and 23,253 on two.
+        for (k, w), nodes in (((3, 4), 1_071), ((2, 5), 372)):
+            for workers in (1, 2):
+                res = ranked_max_family_size(k, w, workers=workers)
+                assert res.nodes == nodes and res.exhaustive, (k, w, workers)
+
     def test_time_limit_covers_slice_builds(self):
-        # (2,6) has 31 rank slices and takes far longer than the limit
+        # (2,6) searches its rank slices 0..15 of 0..30 and takes far
+        # longer than the limit.
         limit = 0.01
         res = ranked_max_family_size(2, 6, SearchLimits(time_limit=limit))
         assert res.truncated and not res.exhaustive
@@ -513,9 +544,12 @@ class TestRankedSearch:
         assert verify(res.witness, 2).ok and len(res.witness) == res.best_size
 
     def test_memory_budget_covers_slices(self):
+        # A refused search still reports the seed, the product family.
         res = ranked_max_family_size(2, 4, SearchLimits(memory_mb=1e-4))
         assert res.truncated and not res.exhaustive
-        assert res.best_size == 0
+        assert res.best_size == 8 and len(res.witness) == 8
+        rep = verify(res.witness, 2)
+        assert rep.ok and rep.is_ranked
         (note,) = res.notes
         assert "largest rank slice of box [0,3]^4" in note
         assert "over the 0.0001 MiB budget" in note

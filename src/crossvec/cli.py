@@ -196,7 +196,9 @@ def _cmd_search(args) -> int:
         # A refutation is definitive for the searched box whenever the
         # run was not resource-truncated; a truncated run decided nothing.
         return EXIT_TRUNCATED if res.truncated else EXIT_NEGATIVE
-    return EXIT_OK if res.exhaustive else EXIT_TRUNCATED
+    # A finished search of a user box is not exhaustive (the box carries
+    # no completeness certificate), but no limit truncated it.
+    return EXIT_TRUNCATED if res.truncated else EXIT_OK
 
 
 def _cmd_bound(args) -> int:

@@ -31,16 +31,17 @@ not meet yet (`pend`); adding v gives
 pend' = (pend | requires[v]) & ~(met | member[v]), where member[v] is
 the set of covers that hold v.  A branch is cut as soon as a pending
 cover is disjoint from the candidate set, since no extension could then
-meet it.  Each node first tests the cover that last cut one of its
-children (the hot cover), then the other pending ones from the top bit
-down; the test is all-or-nothing, so the order changes only its cost.
-Removing vertex v from the candidates can only empty masks that
-contain v, so the branching loop re-checks just those.  A clique is
-recorded when it has no candidates left, and also earlier when it has
-no pending cover but does not meet every cover: an extension could then
-require a cover it cannot meet, so the largest qualifying clique need
-not be maximal.  Without `requires` a clique with no pending cover
-meets every cover, and only the leaves are recorded.
+meet it.  A node tests each child's pending covers before it calls the
+child: first the cover that last cut one of its children (the hot
+cover), then the others from the top bit down; the test is
+all-or-nothing, so the order changes only its cost.  Removing vertex v
+from the candidates can only empty masks that contain v, so the
+branching loop re-checks just those.  A clique is recorded when it has
+no candidates left, and also earlier when it has no pending cover but
+does not meet every cover: an extension could then require a cover it
+cannot meet, so the largest qualifying clique need not be maximal.
+Without `requires` a clique with no pending cover meets every cover,
+and only the leaves are recorded.
 
 Count cut.  With `requires` given, the covers are split greedily, in
 index order, into classes of pairwise disjoint masks (a cover joins the
@@ -48,31 +49,60 @@ first class it is disjoint from).  A vertex lies in at most one cover
 of a class, so a node with c pending covers in one class needs at least
 c more vertices; `need` is the largest such c.  Without `requires` no
 classes are formed and need is 0, so a plain cover search takes every
-branch that a full colouring takes (below).
+branch that a full colouring takes (below), apart from its forced
+vertices.
 
-Colouring.  Each node colours its candidates greedily, one colour class
-at a time: a class takes the largest candidate left, drops it and its
-neighbours from the class, and repeats.  A clique grown at a node of
-depth d from a vertex of colour c gains at most c vertices, so the node
-branches on the coloured vertices from the highest colour down and
-returns at the first vertex whose c has d + c <= the incumbent size.
-The incumbent only grows, so every vertex of a colour below
-k_min = max(incumbent - d + 1, need) (taken when the node starts)
-could not lead to a larger clique that meets its pending covers; those
-classes are peeled off the candidates without being recorded, and only
-the vertices that can branch are kept.  One table per search,
-drop[q] = the vertices below q - 1 that are not its neighbours, indexed
-by bit_length (drop[0] = 0 is never read), removes a picked vertex and
-its neighbours from a class with a single AND.  The pick is the class's
-largest vertex, so the lower part of each row is enough, and the table
-takes about half the memory of the adjacency.  A class
-leaves the candidates with the union nb of its members' rows: it is
-independent and takes every candidate that is no member's neighbour, so
-the candidates it leaves are exactly those in nb, and cand &= nb
-removes it (this is where a self-loop would keep a member in cand).
-Apart from the count cut, the classes, their order and every branch
-taken are those of a full colouring, so node counts, sizes and
-witnesses match it.
+Forced vertices.  A clique S recorded below a node must meet every
+cover pending at the node, and S's own vertices meet none of them, so
+it meets each of them in a candidate.  When a pending cover holds a
+single candidate u, every clique that can still be recorded there holds
+u, and the node takes u without branching: it pushes u, updates cand,
+met and pend as for a child, records S + u under the recording rule
+below, returns if depth + |cand| is no more than the incumbent, and
+scans the pending covers again from the top bit down, for one that has
+lost its last candidate (a cut) or for the next forced vertex.  The
+cliques skipped are exactly those that miss the cover, none of which
+could be recorded, so the search stays exact.  A node is counted once,
+when it starts, and its forced vertices add none.  The child test above
+notes a pending cover with a single candidate as it goes, so a child
+starts with its first forced vertex in hand.  Which cover is taken
+first does not matter: a forced vertex stays forced after another is
+pushed unless the two are not adjacent, and then either order ends in
+a cut.  The rule composes with the rest.  A forced vertex is a
+candidate, so it lies below the root and the root stays the clique's
+largest vertex.  The count cut and the colour bound (below) are taken
+after the forced vertices, at the depth they reach.  Every clique the
+node pushes, forced or branched, goes through the recording rule, and
+every clique the forced rule skips misses a pending cover and never
+qualifies; so the recorded sizes, and with them `initial`, `stop_at`
+and the workers' merge, are those of the search without the rule.
+
+Colouring.  After its forced vertices a node colours its candidates
+greedily, one colour class at a time: a class takes the largest
+candidate left, drops it and its neighbours from the class, and
+repeats.  A clique grown at a node of depth d from a vertex of colour c
+gains at most c vertices, so the node branches on the coloured vertices
+from the highest colour down and returns at the first vertex whose c
+has d + c <= the incumbent size.  The incumbent only grows, so every
+vertex of a colour below k_min = max(incumbent - d + 1, need) (taken
+when the colouring starts) could not lead to a larger clique that meets
+its pending covers; those classes are peeled off the candidates without
+being recorded.  Only the vertices that can branch are kept: one list
+of them, class by class, and the end offset of each class, whose colour
+follows from its place since kept colours are consecutive.  Every
+per-vertex table is indexed by bit_length, q = v + 1, so the largest
+vertex of a bit set finds its row, its cover bits and its requirements
+without an addition; the stack holds the same q.  One table per search,
+drop[q] = the vertices below q - 1 that are not its neighbours, removes
+a picked vertex and its neighbours from a class with a single AND.  The
+pick is the class's largest vertex, so the lower part of each row is
+enough, and the table takes about half the memory of the adjacency.  A
+class leaves the candidates with the union nb of its members' rows: it
+is independent and takes every candidate that is no member's
+neighbour, so the candidates it leaves are exactly those in nb, and
+cand &= nb removes it (this is where a self-loop would keep a member in
+cand).  Apart from the count cut and the forced vertices, the classes,
+their order and every branch taken are those of a full colouring.
 
 Workers > 1 splits the roots round-robin across processes.  Each worker
 finishes its share, so sizes are schedule-independent; among equal
@@ -126,145 +156,177 @@ def _classes(covers: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Search:
     def __init__(self, adj, n, covers, requires, node_limit, deadline):
-        self.adj = adj
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
         self.best_size = 0
         self.best: tuple[int, ...] = ()
+        # The clique's vertices by bit_length (q = v + 1), as every
+        # per-vertex table below is indexed; entry 0 of a table is never read.
         self.stack: list[int] = []
         self.stop_at: int | None = None
-        # drop[v + 1] keeps the vertices below v that are not its
-        # neighbours; removing a colour class by its members' rows needs
-        # loop-free rows (module docstring, "Colouring").
+        # rows[v + 1] is row v, and drop[v + 1] keeps the vertices below v
+        # that are not its neighbours; removing a colour class by its
+        # members' rows needs loop-free rows (module docstring, "Colouring").
+        self.rows = rows = [0]
         self.drop = drop = [0]
         for v in range(n):
             row = adj[v]
             if row >> v & 1:
                 raise ValueError(f"adjacency row {v} holds its own bit (a self-loop)")
             below = (1 << v) - 1
+            rows.append(row)
             drop.append(row & below ^ below)
         covers = tuple(covers)
         self.all_covers = all_covers = (1 << len(covers)) - 1
         if requires is None:
-            self.requires = [all_covers] * n
+            requires = [all_covers] * n
             self.classes = ()
         else:
-            self.requires = list(requires)
-            if len(self.requires) != n:
-                raise ValueError(f"requires has {len(self.requires)} entries, not {n}")
-            if self.requires and (min(self.requires) < 0 or max(self.requires) > all_covers):
+            requires = list(requires)
+            if len(requires) != n:
+                raise ValueError(f"requires has {len(requires)} entries, not {n}")
+            if requires and (min(requires) < 0 or max(requires) > all_covers):
                 raise ValueError(f"requires names a cover outside 0..{len(covers) - 1}")
             self.classes = _classes(covers)
+        self.requires = [0] + requires
         # covers[j + 1] is mask j, so a cover's bit finds its mask by
-        # bit_length, as drop[] does for vertices.
+        # bit_length too.
         self.covers = (0,) + covers
         for j, mask in enumerate(covers):
             if mask < 0 or mask >> n:
                 raise ValueError(f"cover mask {j} has bits outside vertices 0..{n - 1}")
-        # member[v] has bit j set iff vertex v lies in covers[j]: read
+        # member[v + 1] has bit j set iff vertex v lies in covers[j]: read
         # vertex v's column of the covers' bit strings, last cover first.
-        rows = [bin(mask)[:1:-1].ljust(n, "0") for mask in reversed(covers)]
-        self.member = list(map(int, map("".join, zip(*rows)), repeat(2, n))) if rows else [0] * n
-
-    def _tick(self):
-        # Refuse a node before counting it, so nodes never exceeds the limit.
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            raise _OutOfBudget
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _OutOfBudget
+        columns = [bin(mask)[:1:-1].ljust(n, "0") for mask in reversed(covers)]
+        member = map(int, map("".join, zip(*columns)), repeat(2, n)) if columns else repeat(0, n)
+        self.member = [0, *member]
 
     def _record(self, size):
         self.best_size = size
-        self.best = tuple(self.stack)
+        self.best = tuple(q - 1 for q in self.stack)
         if self.stop_at is not None and size >= self.stop_at:
             raise _TargetReached
 
-    def _color_sort(self, cand, kmin):
-        # Greedy colouring; vertices of colour >= kmin come back grouped
-        # by colour class, so colors[] is nondecreasing and bounds the
-        # clique extension.  Lower classes are peeled off unrecorded.
-        # A class leaves in cand exactly the neighbours of its members
-        # (module docstring), so cand &= nb removes it.
-        adj = self.adj
-        drop = self.drop
-        order = []
-        colors = []
-        color = 0
-        while cand:
-            color += 1
-            group = cand
-            nb = 0
-            if color < kmin:
-                while group:
-                    q = group.bit_length()
-                    group &= drop[q]
-                    nb |= adj[q - 1]
-            else:
-                size = len(order)
-                while group:
-                    q = group.bit_length()
-                    group &= drop[q]
-                    nb |= adj[q - 1]
-                    order.append(q - 1)
-                colors += [color] * (len(order) - size)
-            cand &= nb
-        return order, colors
-
-    def _expand(self, depth, cand, met, pend):
-        # Invariant: every cover in the bit set `pend` (required by the
-        # stack, not met by it) meets cand.
-        self._tick()
-        adj = self.adj
+    def _expand(self, depth, cand, met, pend, single):
+        # Invariant: the stack holds `depth` vertices, every cover in the
+        # bit set `pend` (required by the stack, not met by it) meets cand,
+        # and `single` is 0 or the bit of a candidate that is alone in one
+        # of those covers.  Forced vertices stay on the stack; the caller
+        # pops them.
+        rows = self.rows
         member = self.member
         requires = self.requires
         all_covers = self.all_covers
         covers = self.covers
         stack = self.stack
+        # Refuse a node before counting it, so nodes never exceeds the limit.
+        if self.node_limit is not None and self.nodes >= self.node_limit:
+            raise _OutOfBudget
+        self.nodes += 1
+        if self.deadline is not None and not self.nodes & 255:
+            if time.monotonic() > self.deadline:
+                raise _OutOfBudget
+        # Forced vertices (module docstring): push one, then scan the
+        # pending covers from the top bit down for a cut or the next one.
+        while single:
+            q = single.bit_length()
+            stack.append(q)
+            depth += 1
+            cand &= rows[q]
+            met |= member[q]
+            pend = (pend | requires[q]) & ~met
+            if not pend and depth > self.best_size and (not cand or met != all_covers):
+                self._record(depth)
+            if depth + cand.bit_count() <= self.best_size:
+                return
+            single = 0
+            bits = pend
+            while bits:
+                b = bits.bit_length()
+                hit = covers[b] & cand
+                if not hit & (hit - 1):
+                    if not hit:
+                        return
+                    single = hit
+                    break
+                bits ^= 1 << (b - 1)
         kmin = self.best_size - depth + 1
         if pend.bit_count() > kmin:  # else no class can need more
             for c in self.classes:
                 need = (pend & c).bit_count()
                 if need > kmin:
                     kmin = need
-        order, colors = self._color_sort(cand, kmin)
+        # Colour the candidates; the classes of colour >= kmin are kept
+        # in order, class i ending at ends[i + 1], and the lower ones are
+        # peeled off unrecorded.  A class leaves in the rest exactly the
+        # neighbours of its members (module docstring), so left &= nb
+        # removes it.
+        drop = self.drop
+        order = []
+        ends = [0]
+        color = 0
+        left = cand
+        while left:
+            color += 1
+            group = left
+            nb = 0
+            if color < kmin:
+                while group:
+                    q = group.bit_length()
+                    group &= drop[q]
+                    nb |= rows[q]
+            else:
+                while group:
+                    q = group.bit_length()
+                    group &= drop[q]
+                    nb |= rows[q]
+                    order.append(q)
+                ends.append(len(order))
+            left &= nb
+        # Branch from the highest colour down, the last vertex of a class first.
         hot = 0  # the bit of the cover that last cut a child here
-        for idx in range(len(order) - 1, -1, -1):
-            if depth + colors[idx] <= self.best_size:
-                return
-            v = order[idx]
-            new_cand = cand & adj[v]
-            new_met = met | member[v]
-            rest = (pend | requires[v]) & ~new_met
-            stack.append(v)
-            if (
-                not rest
-                and depth + 1 > self.best_size
-                and (not new_cand or new_met != all_covers)
-            ):
-                self._record(depth + 1)
-            if new_cand:
-                bits = rest
-                q = hot.bit_length() if bits & hot else bits.bit_length()
-                while bits:
-                    if not covers[q] & new_cand:
-                        hot = 1 << (q - 1)
-                        break
-                    bits ^= 1 << (q - 1)
-                    q = bits.bit_length()
-                else:
-                    self._expand(depth + 1, new_cand, new_met, rest)
-            stack.pop()
-            cand ^= 1 << v
-            # Only the pending covers that contain v can have emptied.
-            bits = pend & member[v]
-            while bits:
-                q = bits.bit_length()
-                if not covers[q] & cand:
+        for i in range(len(ends) - 1, 0, -1):
+            for q in reversed(order[ends[i - 1] : ends[i]]):
+                if depth + color <= self.best_size:
                     return
-                bits ^= 1 << (q - 1)
+                new_cand = cand & rows[q]
+                new_met = met | member[q]
+                rest = (pend | requires[q]) & ~new_met
+                stack.append(q)
+                if (
+                    not rest
+                    and depth + 1 > self.best_size
+                    and (not new_cand or new_met != all_covers)
+                ):
+                    self._record(depth + 1)
+                if new_cand:
+                    # Test the hot cover first, then the rest from the top
+                    # bit down, noting a cover with a single candidate.
+                    bits = rest
+                    b = hot.bit_length() if bits & hot else bits.bit_length()
+                    single = 0
+                    while bits:
+                        hit = covers[b] & new_cand
+                        if not hit & (hit - 1):
+                            if not hit:
+                                hot = 1 << (b - 1)
+                                break
+                            single = hit
+                        bits ^= 1 << (b - 1)
+                        b = bits.bit_length()
+                    else:
+                        self._expand(depth + 1, new_cand, new_met, rest, single)
+                del stack[depth:]
+                cand ^= 1 << (q - 1)
+                # Only the pending covers that contain the vertex can have emptied.
+                bits = pend & member[q]
+                while bits:
+                    b = bits.bit_length()
+                    if not covers[b] & cand:
+                        return
+                    bits ^= 1 << (b - 1)
+            color -= 1
 
     def run(self, roots, initial, stop_at):
         self.best_size = initial
@@ -274,14 +336,16 @@ class _Search:
             for i in roots:
                 if self.stop_at is not None and self.best_size >= self.stop_at:
                     break
-                cand = self.adj[i] & ((1 << i) - 1)
+                cand = self.rows[i + 1] & ((1 << i) - 1)
                 if 1 + cand.bit_count() <= self.best_size:
                     continue
-                met = self.member[i]
-                pend = self.requires[i] & ~met
-                if not all(m & cand for j, m in enumerate(self.covers[1:]) if pend >> j & 1):
+                met = self.member[i + 1]
+                pend = self.requires[i + 1] & ~met
+                hits = [m & cand for j, m in enumerate(self.covers[1:]) if pend >> j & 1]
+                if not all(hits):
                     continue
-                self.stack.append(i)
+                single = next((h for h in hits if not h & (h - 1)), 0)
+                self.stack.append(i + 1)
                 if (
                     not pend
                     and self.best_size < 1
@@ -289,8 +353,8 @@ class _Search:
                 ):
                     self._record(1)
                 if cand:
-                    self._expand(1, cand, met, pend)
-                self.stack.pop()
+                    self._expand(1, cand, met, pend, single)
+                self.stack.clear()
         except _TargetReached:
             self.stack.clear()
         except _OutOfBudget:

@@ -194,7 +194,9 @@ class SearchLimits:
     of what is left, the shares summing to it.  Under tight caps the
     exact truncation point can therefore vary with the worker count;
     within the caps, results are schedule-independent.  A negative or
-    NaN cap raises ValueError; a zero time or node limit truncates.
+    NaN cap, or a node limit that is not a whole number, raises
+    ValueError; an integral float such as 1e6 is kept as the int it
+    names.  A zero time or node limit truncates.
     """
 
     time_limit: float | None = 60.0
@@ -205,8 +207,13 @@ class SearchLimits:
         # "not x >= 0" rather than "x < 0", so that NaN is refused too.
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
-        if self.node_limit is not None and not self.node_limit >= 0:
-            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
+        if self.node_limit is not None:
+            if not self.node_limit >= 0:
+                raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
+            # A fractional budget would let the engine count one node past it.
+            if self.node_limit % 1:
+                raise ValueError(f"node_limit must be a whole number, got {self.node_limit}")
+            object.__setattr__(self, "node_limit", int(self.node_limit))
         if not self.memory_mb > 0:
             raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
 

@@ -133,6 +133,24 @@ def reference_max_clique(adj, n, roots, initial, covers):
     def expand(depth, cand, pend):
         nonlocal best, members, nodes
         nodes += 1
+        # Forced vertices: while a pending cover holds one candidate, the
+        # first from the highest cover index, take it without a node.
+        while pend:
+            if not all(m & cand for m in masks(pend)):
+                return
+            single = [j for j in range(len(covers) - 1, -1, -1)
+                      if pend >> j & 1 and (covers[j] & cand).bit_count() == 1]
+            if not single:
+                break
+            u = (covers[single[0]] & cand).bit_length() - 1
+            stack.append(u)
+            depth += 1
+            cand &= adj[u]
+            pend &= ~member[u]
+            if not cand and not pend and depth > best:
+                best, members = depth, tuple(sorted(stack))
+            if depth + cand.bit_count() <= best:
+                return
         order, colors = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= best:
@@ -146,7 +164,7 @@ def reference_max_clique(adj, n, roots, initial, covers):
                     expand(depth + 1, new_cand, rest)
             elif not rest and depth + 1 > best:
                 best, members = depth + 1, tuple(sorted(stack))
-            stack.pop()
+            del stack[depth:]
             cand &= ~(1 << v)
             if not all(m & cand for m in masks(pend & member[v])):
                 return
@@ -161,7 +179,7 @@ def reference_max_clique(adj, n, roots, initial, covers):
             expand(1, cand, pend)
         elif best < 1:
             best, members = 1, (i,)
-        stack.pop()
+        stack.clear()
     return best, members, nodes
 
 
@@ -188,8 +206,9 @@ def reference_search(
 ):
     """The engine's whole contract in its mirror image, from the least vertex up.
 
-    Root i explores the cliques whose least vertex is i, and every node
-    colours all its candidates, each class taking the least vertex left.
+    Root i explores the cliques whose least vertex is i.  Every node
+    first takes its forced vertices, then colours all its candidates,
+    each class taking the least vertex left.
     Covers are sets of indices; the count cut, the recording rule and
     both limits follow the module docstring.  Returns (size, members,
     nodes, truncated).
@@ -242,6 +261,24 @@ def reference_search(
         if node_limit is not None and nodes >= node_limit:
             raise Stop(True)
         nodes += 1
+        # Forced vertices: while a pending cover holds one candidate, the
+        # first from the highest cover index, take it without a node.
+        while pend:
+            if not meets(pend, cand):
+                return
+            single = [j for j in sorted(pend, reverse=True) if (covers[j] & cand).bit_count() == 1]
+            if not single:
+                break
+            u = (covers[single[0]] & cand).bit_length() - 1
+            stack.append(u)
+            depth += 1
+            cand &= adj[u]
+            met = met | member[u]
+            pend = (pend | req[u]) - met
+            if not pend and depth > best and (not cand or len(met) < k):
+                record(depth)
+            if depth + cand.bit_count() <= best:
+                return
         need = max((len(pend & c) for c in classes), default=0)
         order, colors = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
@@ -256,7 +293,7 @@ def reference_search(
                 record(depth + 1)
             if new_cand and meets(rest, new_cand):
                 expand(depth + 1, new_cand, new_met, rest)
-            stack.pop()
+            del stack[depth:]
             cand &= ~(1 << v)
             if not meets(pend, cand):
                 return
@@ -276,7 +313,7 @@ def reference_search(
                 record(1)
             if cand:
                 expand(1, cand, met, pend)
-            stack.pop()
+            stack.clear()
     except Stop as stop:
         truncated = stop.args[0]
     return best, members, nodes, truncated
@@ -528,6 +565,18 @@ class TestControls:
         for workers in (1, 2):
             with pytest.raises(ValueError, match="self-loop"):
                 max_clique_parallel(adj, 3, workers=workers)
+
+
+class TestForcedVertices:
+    def test_forced_vertex_takes_no_node(self):
+        # Root 2 of a triangle has the candidates {0, 1}, and the cover
+        # {0} holds only one of them.  The root's node takes 0 without a
+        # node of its own and then branches on 1; a search that branched
+        # on 0 would spend a second node below it.
+        adj = adj_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        assert max_clique(adj, 3).nodes == 2
+        res = max_clique(adj, 3, covers=[0b001])
+        assert (res.size, res.members, res.nodes) == (3, (0, 1, 2), 1)
 
 
 class TestParallel:

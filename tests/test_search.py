@@ -188,12 +188,15 @@ class TestExistsFamily:
             ({"time_limit": float("nan")}, 1),
             ({}, 0),
             ({}, -2),
+            ({"node_limit": 2.5}, 1),
+            ({"node_limit": float("inf")}, 1),
         ],
     )
     def test_bad_limits_raise(self, caps, workers):
         # Each of these used to pass silently: a NaN budget switched the
         # memory check off, a negative node limit truncated at 0 nodes,
-        # and fewer than one worker ran serially.
+        # a fractional one let the count pass it, and fewer than one
+        # worker ran serially.
         with pytest.raises(ValueError):
             exists_family(2, 3, 5, limits=SearchLimits(**caps), workers=workers)
         with pytest.raises(ValueError):
@@ -201,13 +204,15 @@ class TestExistsFamily:
 
     def test_node_limit_is_one_budget_for_the_run(self):
         # The refused node is not counted, and workers share the budget.
+        # An integral float such as 1e3 is the int budget 1000.
         box = compression_box(3, 3, 10)
-        for workers in (1, 2):
-            res = exists_family(
-                3, 3, 10, box=box, limits=SearchLimits(node_limit=1000), workers=workers
-            )
-            assert res.truncated and not res.exhaustive
-            assert res.nodes <= 1000
+        for node_limit in (1000, 1e3):
+            limits = SearchLimits(node_limit=node_limit)
+            assert type(limits.node_limit) is int
+            for workers in (1, 2):
+                res = exists_family(3, 3, 10, box=box, limits=limits, workers=workers)
+                assert res.truncated and not res.exhaustive
+                assert res.nodes == 1000
 
     def test_box_too_large_becomes_truncated_result(self):
         res = max_family_in_box(
@@ -274,11 +279,12 @@ class TestExistsFamily:
 
     def test_zero_cover_prunes_f33_refutation(self):
         # Without covers this refutation takes 399,547 nodes, with zero
-        # covers alone 76,111; level covers and the count cut take fewer.
+        # covers alone 76,111; level covers and the count cut take 37,266,
+        # and forced vertices fewer.
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes == 37_266
+        assert res.nodes == 34_641
 
     def test_default_box_is_compression_box(self):
         # With no box given, target 10 searches the compression box
@@ -289,7 +295,7 @@ class TestExistsFamily:
         assert verify(res.witness, 3).ok
         assert str(res.box) == "[0,9]^3"
         assert res.box.derivation.startswith("compression-complete")
-        assert res.nodes == 37_266
+        assert res.nodes == 34_641
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -394,7 +400,7 @@ class TestMaxFamily:
         # The node count pins every branching decision of the engine.
         res = max_family_in_box(2, SearchBox((4,) * 4))
         assert res.best_size == 8 and not res.truncated
-        assert res.nodes == 65_997
+        assert res.nodes == 58_944
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
@@ -495,7 +501,7 @@ class TestLevelCovers:
         res = exists_family((2, 3, 3), 3, 6)
         assert res.found and str(res.box) == "[0,5]^3"
         assert res.nodes == 18
-        assert ranked_max_family_size(3, 4).nodes == 1_071
+        assert ranked_max_family_size(3, 4).nodes == 761
 
 
 class TestRankedSearch:
@@ -527,7 +533,7 @@ class TestRankedSearch:
         # The seed is never beaten, so every root refutes the same bound
         # whatever the schedule.  Unseeded, (2,6) took 23,156 nodes on one
         # worker and 23,253 on two.
-        for (k, w), nodes in (((3, 4), 1_071), ((2, 5), 372)):
+        for (k, w), nodes in (((3, 4), 761), ((2, 5), 256)):
             for workers in (1, 2):
                 res = ranked_max_family_size(k, w, workers=workers)
                 assert res.nodes == nodes and res.exhaustive, (k, w, workers)

@@ -9,12 +9,14 @@ verification failed, a search target was refuted, or a containment
 query came back negative; 2 usage errors or malformed input files;
 3 a resource limit truncated the answer.
 
-`--format records` emits tab-separated key/value lines with the same
-numeric content as the human table.  `--deterministic` forces a single
+`--format records` (every subcommand but `construct`, which writes a
+family file) emits tab-separated key/value lines with the same numeric
+content as the human table.  `search --deterministic` forces a single
 worker and drops timing lines so output is byte-identical across runs
 and worker counts, unless `--time-limit` cuts the run: where a time
 limit stops the search depends on the machine, so the node count and
-the witness can then differ between runs.
+the witness can then differ between runs.  No other subcommand takes
+`--deterministic`: their output has no timing lines and no workers.
 """
 
 from __future__ import annotations
@@ -169,16 +171,15 @@ def _cmd_search(args) -> int:
     limits = _limits(args)
     ks = _thresholds(args)
     box = SearchBox(args.box) if args.box is not None else None
+    workers = 1 if args.deterministic else args.workers
     if args.ranked:
-        res = ranked_max_family_size(args.k, args.w, limits, workers=args.workers)
+        res = ranked_max_family_size(args.k, args.w, limits, workers=workers)
     elif args.target is not None:
-        res = exists_family(
-            ks, args.w, args.target, box, limits, workers=args.workers
-        )
+        res = exists_family(ks, args.w, args.target, box, limits, workers=workers)
     elif box is not None:
-        res = max_family_in_box(ks, box, limits, workers=args.workers)
+        res = max_family_in_box(ks, box, limits, workers=workers)
     else:
-        res = max_family_size(ks, args.w, limits, workers=args.workers)
+        res = max_family_size(ks, args.w, limits, workers=workers)
 
     _emit(_search_pairs(res, args.deterministic), args.format)
     sys.stdout.write(_certificate_line(res, limits) + "\n")
@@ -294,23 +295,11 @@ _HANDLERS = {
 # Parser.
 
 
-def _add_common(sub) -> None:
+def _add_format(sub) -> None:
     sub.add_argument(
         "--format", choices=("table", "records"), default="table",
         help="human table or tab-separated key/value records",
     )
-    sub.add_argument(
-        "--deterministic", action="store_true",
-        help="single worker, no timing lines; byte-identical output "
-        "unless --time-limit cuts the run",
-    )
-
-
-def _add_limits(sub) -> None:
-    sub.add_argument("--time-limit", type=float, default=60.0, metavar="SECONDS")
-    sub.add_argument("--node-limit", type=int, default=5_000_000, metavar="N")
-    sub.add_argument("--memory-mb", type=float, default=512.0, metavar="MB")
-    sub.add_argument("--workers", type=int, default=1, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,14 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="lift kind: base family file")
     p.add_argument("--shift", type=int, help="lift kind: translation step")
     p.add_argument("--out", help="output file (default stdout)")
-    _add_common(p)
 
     p = subs.add_parser("verify", help="check a family file")
     p.add_argument("--input", required=True, help="family file, or - for stdin")
     p.add_argument("--k", type=int)
     p.add_argument("--ks", type=_parse_int_list, metavar="K1,K2,...")
     p.add_argument("--violation-cap", type=int, default=100)
-    _add_common(p)
+    _add_format(p)
 
     p = subs.add_parser("search", help="exact search for maximum families")
     p.add_argument("--k", type=int)
@@ -363,8 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranked", action="store_true", help="restrict to constant-rank families"
     )
     p.add_argument("--witness-out", help="also write the witness family here")
-    _add_limits(p)
-    _add_common(p)
+    p.add_argument(
+        "--time-limit", type=float, default=SearchLimits.time_limit, metavar="SECONDS"
+    )
+    p.add_argument("--node-limit", type=int, default=SearchLimits.node_limit, metavar="N")
+    p.add_argument("--memory-mb", type=float, default=SearchLimits.memory_mb, metavar="MB")
+    p.add_argument("--workers", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--deterministic", action="store_true",
+        help="single worker, no timing lines; byte-identical output "
+        "unless --time-limit cuts the run",
+    )
+    _add_format(p)
 
     p = subs.add_parser("bound", help="lower/upper bound table")
     p.add_argument("--k", type=int)
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-trust-exact", action="store_true",
         help="recursion from the trivial base only",
     )
-    _add_common(p)
+    _add_format(p)
 
     p = subs.add_parser("poset", help="width, maximum-antichain lattice, reduction")
     p.add_argument("--input", required=True, help="poset file, or - for stdin")
@@ -388,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduce a maximum incomparable set of maximum antichains to vectors",
     )
     p.add_argument("--out", help="output file for the reduced family")
-    _add_common(p)
+    _add_format(p)
 
     p = subs.add_parser("compress", help="fixpoint-compress one coordinate")
     p.add_argument("--input", required=True, help="family file, or - for stdin")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--coord", type=int, required=True, help="1-based coordinate")
     p.add_argument("--out", help="output file (default stdout)")
-    _add_common(p)
+    _add_format(p)
 
     return parser
 
@@ -448,8 +446,6 @@ def main(argv=None) -> int:
     if problem is not None:
         sys.stderr.write(f"error: {problem}\n")
         return EXIT_USAGE
-    if args.deterministic:
-        args.workers = 1
     try:
         return _HANDLERS[args.subcommand](args)
     except ParseError as exc:

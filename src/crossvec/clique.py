@@ -1,11 +1,12 @@
 """Branch-and-bound maximum clique over bitmask adjacency.
 
-Vertices are 0..n-1 and adjacency rows are Python ints used as bit sets,
-which keeps the inner loops on C-level big-int operations.  The solver
-is the classic greedy-colouring branch and bound: candidate sets are
-colour-sorted, the colour number bounds any clique extension, and
-branches that cannot beat the incumbent are cut.  Rows must be
-loop-free (row v never holds bit v); a self-loop raises ValueError.
+Vertices are 0..n-1, one per row of adj (n = len(adj)), and adjacency
+rows are Python ints used as bit sets, which keeps the inner loops on
+C-level big-int operations.  The solver is the classic greedy-colouring
+branch and bound: candidate sets are colour-sorted, the colour number
+bounds any clique extension, and branches that cannot beat the
+incumbent are cut.  Rows must be loop-free (row v never holds bit v); a
+self-loop raises ValueError.
 
 Vertex order.  The engine works from the top bit down, because a bit
 set's largest vertex is the one Python finds without allocating:
@@ -155,7 +156,8 @@ def _classes(covers: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Search:
-    def __init__(self, adj, n, covers, requires, node_limit, deadline):
+    def __init__(self, adj, covers, requires, node_limit, deadline):
+        n = len(adj)
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
@@ -368,9 +370,17 @@ class _Search:
         )
 
 
+def _root_list(adj, roots) -> list[int]:
+    # n-1 down to 0 by default; checked before any worker starts.
+    n = len(adj)
+    roots = list(range(n - 1, -1, -1) if roots is None else roots)
+    if roots and not 0 <= min(roots) <= max(roots) < n:
+        raise ValueError(f"roots span {min(roots)}..{max(roots)}, outside vertices 0..{n - 1}")
+    return roots
+
+
 def max_clique(
     adj: Sequence[int],
-    n: int,
     roots: Iterable[int] | None = None,
     initial: int = 0,
     stop_at: int | None = None,
@@ -387,14 +397,13 @@ def max_clique(
     `covers` with `requires` restricts the recorded cliques, both as
     described in the module docstring; None and () mean no restriction.
     A self-loop (row v holding bit v), a cover mask with a bit outside
-    0..n-1, or a `requires` entry that is not one bit set per vertex
-    over the covers raises ValueError.
+    0..n-1, a `requires` entry that is not one bit set per vertex over
+    the covers, or a root outside 0..n-1 raises ValueError; n is
+    len(adj).
     """
-    if roots is None:
-        roots = range(n - 1, -1, -1)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(adj, n, covers, requires, node_limit, deadline)
-    return search.run(list(roots), initial, stop_at)
+    search = _Search(adj, covers, requires, node_limit, deadline)
+    return search.run(_root_list(adj, roots), initial, stop_at)
 
 
 def _worker(args):
@@ -403,7 +412,6 @@ def _worker(args):
 
 def max_clique_parallel(
     adj: Sequence[int],
-    n: int,
     roots: Iterable[int] | None = None,
     initial: int = 0,
     stop_at: int | None = None,
@@ -414,18 +422,18 @@ def max_clique_parallel(
     requires: Sequence[int] | None = None,
 ) -> CliqueResult:
     """Split roots across processes; exact results merge deterministically."""
-    root_list = list(range(n - 1, -1, -1) if roots is None else roots)
+    root_list = _root_list(adj, roots)
     covers = tuple(covers)
     if workers <= 1 or len(root_list) <= 1:
         return max_clique(
-            adj, n, root_list, initial, stop_at, node_limit, time_limit, covers, requires
+            adj, root_list, initial, stop_at, node_limit, time_limit, covers, requires
         )
     chunks = [root_list[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
     # One node budget for the call: the shares (N + i) // len(chunks) sum to N.
     jobs = [
         (
-            list(adj), n, c, initial, stop_at,
+            list(adj), c, initial, stop_at,
             None if node_limit is None else (node_limit + i) // len(chunks),
             time_limit, covers, requires,
         )

@@ -261,12 +261,15 @@ def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
     ints.  The flags cover all pairs even when
     the violation list is truncated at `violation_cap`; it keeps the
     first violating pairs (a, b) in the canonical order of a, then of b.
+    A negative `violation_cap` raises ValueError.
 
     One bitset kernel serves every family size; it relies on the
     family's lexicographic order, is exact for ints of any size, and
     its masks take about w·D·n/16 bytes for n vectors with D distinct
     values per coordinate (module docstring, "Verification").
     """
+    if violation_cap < 0:
+        raise ValueError(f"violation_cap must be nonnegative, got {violation_cap}")
     seq = threshold_seq(ks, family.width)
     vs = family.vectors
     n = len(vs)

@@ -15,6 +15,16 @@ Width and the chain cover come from bipartite matching (Kuhn's
 augmenting paths) plus the Koenig cover, which yields a witness
 antichain and a minimum chain cover of matching cardinality in one
 pass.  The same machinery runs unchanged on the M(P) order.
+
+A Poset keeps its reflexive-transitive closure in both directions, as
+bitmask rows: the up-set and the down-set of every element, the second
+transposed once from the first.  Comparability is the union of the two
+rows, and the covers of a are its strict up-set minus everything
+strictly above some member of it.  An element whose up-set and down-set
+share another element lies on a cycle.  Every member of that shared set
+reaches the element and is reached from it, so each has a given
+successor inside the set; following the given relations within the set
+until an element repeats names one cycle of given relations.
 """
 
 from __future__ import annotations
@@ -28,40 +38,12 @@ from .core import Family, ParseError, _read_text, _write_text, verify
 Label = str
 
 
-def _find_cycle(labels, succ) -> list[str]:
-    # DFS for any directed cycle in the raw relation digraph; used only
-    # to build a diagnostic once antisymmetry is known to fail.
-    n = len(labels)
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    parent = [-1] * n
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if state[u] == 0:
-                    state[u] = 1
-                    parent[u] = v
-                    stack.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-                if state[u] == 1:
-                    cycle = [u]
-                    w = v
-                    while w != u:
-                        cycle.append(w)
-                        w = parent[w]
-                    cycle.append(u)
-                    cycle.reverse()
-                    return [labels[i] for i in cycle]
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return []
+def _bits(mask: int):
+    # Indices of the set bits of mask, ascending.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Poset:
@@ -72,7 +54,7 @@ class Poset:
     diagnostic naming one.
     """
 
-    __slots__ = ("_labels", "_index", "_leq")
+    __slots__ = ("_labels", "_index", "_leq", "_geq")
 
     def __init__(self, labels: Sequence[Label], relations: Iterable[tuple[Label, Label]] = ()):
         labs = tuple(str(x) for x in labels)
@@ -100,15 +82,31 @@ class Poset:
             for i in range(n):
                 if leq[i] & bit:
                     leq[i] |= row
+        # Transpose inline rather than through _bits: every Poset built
+        # pays for it, and a generator per row costs about half again.
+        geq = [0] * n
+        for i, row in enumerate(leq):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                geq[low.bit_length() - 1] |= bit
+                row ^= low
         for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i] >> j & 1 and leq[j] >> i & 1:
-                    cyc = _find_cycle(labs, succ)
-                    path = " < ".join(cyc) if cyc else f"{labs[i]} ... {labs[j]}"
-                    raise ValueError(f"relations contain a cycle: {path}")
+            scc = leq[i] & geq[i]
+            if scc != 1 << i:
+                # Every element of scc has a given successor inside it.
+                seen: dict[int, int] = {}
+                v = i
+                while v not in seen:
+                    seen[v] = len(seen)
+                    v = min(j for j in succ[v] if scc >> j & 1)
+                cycle = list(seen)[seen[v]:] + [v]
+                path = " < ".join(labs[j] for j in cycle)
+                raise ValueError(f"relations contain a cycle: {path}")
         self._labels = labs
         self._index = index
         self._leq = leq
+        self._geq = geq
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -135,25 +133,18 @@ class Poset:
 
     def comparable_mask(self, i: int) -> int:
         # All j comparable to i (including i itself).
-        m = self._leq[i]
-        for j in range(self.n):
-            if self._leq[j] >> i & 1:
-                m |= 1 << j
-        return m
+        return self._leq[i] | self._geq[i]
 
     def covers(self) -> tuple[tuple[Label, Label], ...]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
+        up = [row & ~(1 << i) for i, row in enumerate(self._leq)]
+        labels = self._labels
         out = []
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self._leq[i] >> j & 1:
-                    continue
-                between = self._leq[i] & ~(1 << i) & ~(1 << j)
-                if not any(
-                    between >> m & 1 and self._leq[m] >> j & 1 for m in range(n)
-                ):
-                    out.append((self._labels[i], self._labels[j]))
+        for i, row in enumerate(up):
+            above = 0
+            for j in _bits(row):
+                above |= up[j]
+            out.extend((labels[i], labels[j]) for j in _bits(row & ~above))
         return tuple(out)
 
     def __repr__(self):

@@ -333,7 +333,7 @@ def _check_memory(
 def build_compatibility_graph(
     ks,
     box: SearchBox,
-    memory_mb: float = 512.0,
+    memory_mb: float = SearchLimits.memory_mb,
     rank: int | None = None,
     deadline: float | None = None,
 ) -> CompatibilityGraph:
@@ -553,7 +553,7 @@ def _search(
             covers, requires = _covers(graph, levels)
             rem = _remaining(limits, start, nodes)
             res = max_clique_parallel(
-                graph.adj, graph.n, _roots(graph), best, stop_at,
+                graph.adj, _roots(graph), best, stop_at,
                 rem.node_limit, rem.time_limit, workers, covers, requires,
             )
             nodes += res.nodes

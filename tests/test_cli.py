@@ -83,6 +83,32 @@ class TestConstructVerifyPipeline:
         assert code == 1
         assert "violation\tcrossing" in out
 
+    def test_negative_violation_cap_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("w 2\n0 2\n2 0\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(bad), "--k", "2", "--violation-cap", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "violation_cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--input", "-", "--k", "2", "--deterministic"),
+            ("bound", "--k", "2", "--w", "3", "--deterministic"),
+            ("construct", "--kind", "product", "--k", "2", "--w", "2", "--format", "records"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_refused(self, capsys, argv):
+        # Only search takes --deterministic, and construct writes a family
+        # file, not a table: argparse refuses the flag with exit code 2.
+        with pytest.raises(SystemExit) as ei:
+            main(list(argv))
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_fixup_for_wrong_residue_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", "--kind", "cyclic",

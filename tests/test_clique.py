@@ -321,25 +321,25 @@ def reference_search(
 
 class TestExactness:
     def test_edgeless(self):
-        res = max_clique([0, 0, 0], 3)
+        res = max_clique([0, 0, 0])
         assert res.size == 1
         assert len(res.members) == 1
         assert not res.truncated
 
     def test_empty_graph(self):
-        res = max_clique([], 0)
+        res = max_clique([])
         assert res.size == 0 and res.members == ()
 
     def test_complete(self):
         n = 6
         adj = adj_from_edges(n, itertools.combinations(range(n), 2))
-        res = max_clique(adj, n)
+        res = max_clique(adj)
         assert res.size == 6
         assert res.members == tuple(range(6))
 
     def test_two_triangles_and_bridge(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
-        res = max_clique(adj_from_edges(6, edges), 6)
+        res = max_clique(adj_from_edges(6, edges))
         assert res.size == 3
         assert set(res.members) in ({0, 1, 2}, {3, 4, 5})
 
@@ -352,7 +352,7 @@ class TestExactness:
             ]
             adj = adj_from_edges(n, edges)
             expect, _ = brute_max_clique(n, adj)
-            res = max_clique(adj, n)
+            res = max_clique(adj)
             assert res.size == expect
             assert not res.truncated
             # returned members really form a clique of the claimed size
@@ -370,7 +370,7 @@ class TestCovers:
         for _ in range(80):
             n, adj, covers = random_instance(rng)
             expect = brute_max_covering_clique(n, adj, covers)
-            res = max_clique(adj, n, covers=covers)
+            res = max_clique(adj, covers=covers)
             assert res.size == expect, (n, adj, covers)
             assert not res.truncated
             ms = res.members
@@ -403,7 +403,7 @@ class TestCovers:
             # The engine branches from the largest vertex: on the mirrored
             # instance it must take every branch the reference takes.
             madj, mcovers, _, mroots = mirror(n, adj, covers, roots=roots)
-            res = max_clique(madj, n, roots=mroots, initial=initial, covers=mcovers)
+            res = max_clique(madj, roots=mroots, initial=initial, covers=mcovers)
             members = unmirror(n, res.members)
             expect = reference_max_clique(adj, n, roots, initial, covers)
             assert (res.size, members, res.nodes) == expect, case
@@ -427,21 +427,21 @@ class TestCovers:
         rng = random.Random(31)
         for _ in range(20):
             n, adj, _ = random_instance(rng)
-            assert max_clique(adj, n, covers=()) == max_clique(adj, n)
+            assert max_clique(adj, covers=()) == max_clique(adj)
 
     def test_serial_and_parallel_agree(self):
         rng = random.Random(577)
         for _ in range(6):
             n, adj, covers = random_instance(rng, max_n=18)
-            serial = max_clique_parallel(adj, n, covers=covers, workers=1)
-            par = max_clique_parallel(adj, n, covers=covers, workers=2)
+            serial = max_clique_parallel(adj, covers=covers, workers=1)
+            par = max_clique_parallel(adj, covers=covers, workers=2)
             assert par.size == serial.size
             assert par.members == serial.members
             assert not par.truncated
 
     def test_mask_outside_vertices_rejected(self):
         with pytest.raises(ValueError):
-            max_clique([0, 0], 2, covers=[0b100])
+            max_clique([0, 0], covers=[0b100])
 
 
 class TestRequires:
@@ -460,7 +460,7 @@ class TestRequires:
             if rng.random() < 0.3:
                 roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
             initial = rng.choice((0, 0, 1, 2))
-            res = max_clique(adj, n, roots, initial, covers=covers, requires=requires)
+            res = max_clique(adj, roots, initial, covers=covers, requires=requires)
             expect = brute_max_requiring_clique(n, adj, covers, requires, set(roots))
             assert res.size == max(initial, expect), case
             assert not res.truncated
@@ -493,8 +493,8 @@ class TestRequires:
             adj = adj_from_edges(n, edges)
             covers, _ = random_levels(rng, n)
             everything = [(1 << len(covers)) - 1] * n
-            plain = max_clique(adj, n, covers=covers)
-            cut = max_clique(adj, n, covers=covers, requires=everything)
+            plain = max_clique(adj, covers=covers)
+            cut = max_clique(adj, covers=covers, requires=everything)
             assert cut.size == plain.size
             assert cut.nodes <= plain.nodes
 
@@ -506,32 +506,32 @@ class TestRequires:
             adj = adj_from_edges(n, edges)
             covers, requires = random_levels(rng, n)
             kw = dict(covers=covers, requires=requires)
-            serial = max_clique_parallel(adj, n, workers=1, **kw)
-            par = max_clique_parallel(adj, n, workers=2, **kw)
+            serial = max_clique_parallel(adj, workers=1, **kw)
+            par = max_clique_parallel(adj, workers=2, **kw)
             assert (par.size, par.members) == (serial.size, serial.members)
 
     def test_bad_requires_rejected(self):
         with pytest.raises(ValueError):
-            max_clique([0, 0], 2, covers=[0b01, 0b10], requires=[0b11])
+            max_clique([0, 0], covers=[0b01, 0b10], requires=[0b11])
         with pytest.raises(ValueError):
-            max_clique([0, 0], 2, covers=[0b01, 0b10], requires=[0b11, 0b100])
+            max_clique([0, 0], covers=[0b01, 0b10], requires=[0b11, 0b100])
 
 
 class TestControls:
     def test_initial_suppresses_non_improvements(self):
         edges = [(0, 1), (1, 2), (0, 2)]
         adj = adj_from_edges(3, edges)
-        res = max_clique(adj, 3, initial=3)
+        res = max_clique(adj, initial=3)
         assert res.size == 3
         assert res.members == ()
-        res = max_clique(adj, 3, initial=2)
+        res = max_clique(adj, initial=2)
         assert res.size == 3
         assert len(res.members) == 3
 
     def test_stop_at_returns_early_witness(self):
         n = 12
         adj = adj_from_edges(n, itertools.combinations(range(n), 2))
-        res = max_clique(adj, n, stop_at=4)
+        res = max_clique(adj, stop_at=4)
         # may overshoot on a deep leaf, never undershoots
         assert res.size >= 4
         assert len(res.members) == res.size
@@ -542,9 +542,9 @@ class TestControls:
         n = 40
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.7]
         adj = adj_from_edges(n, edges)
-        res = max_clique(adj, n, node_limit=5)
+        res = max_clique(adj, node_limit=5)
         assert res.truncated
-        full = max_clique(adj, n)
+        full = max_clique(adj)
         assert not full.truncated
         assert full.size >= res.size
 
@@ -552,8 +552,18 @@ class TestControls:
         # roots {1} explores only cliques whose largest vertex is 1
         edges = [(0, 1), (2, 3), (3, 4), (2, 4)]
         adj = adj_from_edges(5, edges)
-        assert max_clique(adj, 5, roots=[1]).size == 2
-        assert max_clique(adj, 5, roots=[1, 4]).size == 3
+        assert max_clique(adj, roots=[1]).size == 2
+        assert max_clique(adj, roots=[1, 4]).size == 3
+
+    def test_root_outside_vertices_rejected(self):
+        # n is len(adj): a root past the last row, or a negative one, is
+        # refused rather than read as a row or a bit.
+        for adj, roots in (([2, 1], [5]), ([2, 1], [2]), ([2, 1], [-1])):
+            with pytest.raises(ValueError, match="root"):
+                max_clique(adj, roots=roots)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="root"):
+                max_clique_parallel([2, 1], [1, 5], workers=workers)
 
     def test_self_loop_rejected(self):
         # Colouring removes a class by its members' neighbours, which a
@@ -561,10 +571,10 @@ class TestControls:
         adj = adj_from_edges(3, [(0, 1), (1, 2)])
         adj[1] |= 1 << 1
         with pytest.raises(ValueError, match="self-loop"):
-            max_clique(adj, 3)
+            max_clique(adj)
         for workers in (1, 2):
             with pytest.raises(ValueError, match="self-loop"):
-                max_clique_parallel(adj, 3, workers=workers)
+                max_clique_parallel(adj, workers=workers)
 
 
 class TestForcedVertices:
@@ -574,8 +584,8 @@ class TestForcedVertices:
         # node of its own and then branches on 1; a search that branched
         # on 0 would spend a second node below it.
         adj = adj_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert max_clique(adj, 3).nodes == 2
-        res = max_clique(adj, 3, covers=[0b001])
+        assert max_clique(adj).nodes == 2
+        res = max_clique(adj, covers=[0b001])
         assert (res.size, res.members, res.nodes) == (3, (0, 1, 2), 1)
 
 
@@ -585,9 +595,9 @@ class TestParallel:
         n = 18
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
         adj = adj_from_edges(n, edges)
-        serial = max_clique_parallel(adj, n, workers=1)
+        serial = max_clique_parallel(adj, workers=1)
         for workers in (2, 3):
-            par = max_clique_parallel(adj, n, workers=workers)
+            par = max_clique_parallel(adj, workers=workers)
             assert par.size == serial.size
             assert par.members == serial.members
             assert not par.truncated
@@ -625,7 +635,7 @@ class TestMirror:
         stop_at = data.draw(st.none() | st.integers(1, 8), label="stop_at")
         node_limit = data.draw(st.none() | st.integers(0, 300), label="node_limit")
         madj, mcovers, mrequires, mroots = mirror(n, adj, covers, requires, roots)
-        res = max_clique(madj, n, mroots, initial, stop_at, node_limit, None, mcovers, mrequires)
+        res = max_clique(madj, mroots, initial, stop_at, node_limit, None, mcovers, mrequires)
         least_roots = range(n) if roots is None else roots
         expect = reference_search(
             adj, n, least_roots, initial, stop_at, node_limit, covers, requires

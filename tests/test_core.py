@@ -233,6 +233,12 @@ class TestVerify:
         assert full.violations[:10] == rep.violations
         assert verify(f, 2, violation_cap=0).violations == ()
 
+    def test_negative_violation_cap_raises(self):
+        # oracle_report's bad[:-1] would drop the last pair; refuse instead.
+        f = Family(2, [(i, i) for i in range(3)])
+        with pytest.raises(ValueError, match="violation_cap"):
+            verify(f, 2, violation_cap=-1)
+
     def test_random_families_match_oracle(self):
         rng = random.Random(3141)
         for _ in range(20):

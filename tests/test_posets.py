@@ -54,6 +54,47 @@ class TestPosetConstruction:
         assert "cycle" in str(ei.value)
         assert "<" in str(ei.value)  # names a concrete path
 
+    @pytest.mark.parametrize(
+        "labels,relations",
+        [
+            # a 2-cycle
+            (["a", "b"], [("a", "b"), ("b", "a")]),
+            # a 3-cycle that avoids the first label
+            (["x", "a", "b", "c"], [("x", "a"), ("a", "b"), ("b", "c"), ("c", "a")]),
+            # a cycle reached only after an acyclic prefix: p lies on no
+            # cycle, and the walk from q repeats r before it returns to q
+            (
+                ["p", "q", "r", "s", "t"],
+                [("p", "q"), ("q", "r"), ("r", "s"), ("s", "r"), ("s", "t"), ("t", "q")],
+            ),
+        ],
+    )
+    def test_cycle_names_given_relations(self, labels, relations):
+        with pytest.raises(ValueError, match="relations contain a cycle: ") as ei:
+            Poset(labels, relations)
+        path = str(ei.value).split(": ", 1)[1].split(" < ")
+        assert len(path) >= 3 and path[0] == path[-1]
+        assert len(set(path[:-1])) == len(path) - 1
+        assert all(pair in relations for pair in zip(path, path[1:]))
+
+    def test_covers_and_comparability_match_definitions(self):
+        rng = random.Random(4711)
+        for _ in range(40):
+            p = random_poset(rng, rng.randrange(1, 12), p=rng.uniform(0.05, 0.7))
+            labels = p.labels
+            expect_covers = tuple(
+                (a, b)
+                for a in labels
+                for b in labels
+                if p.less(a, b) and not any(p.less(a, m) and p.less(m, b) for m in labels)
+            )
+            assert p.covers() == expect_covers
+            for i, a in enumerate(labels):
+                expect = sum(
+                    1 << j for j, b in enumerate(labels) if p.leq(a, b) or p.leq(b, a)
+                )
+                assert p.comparable_mask(i) == expect
+
     def test_builders(self):
         c = chain(3)
         assert c.labels == ("c1", "c2", "c3")

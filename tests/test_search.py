@@ -140,7 +140,7 @@ class TestCompatibilityGraph:
                     free += bit
             assert g.edge_count() == free
         g = build_compatibility_graph(2, SearchBox((2, 2)))
-        assert max_clique(g.adj, g.n).size == 2
+        assert max_clique(g.adj).size == 2
 
     def test_memory_guard(self):
         with pytest.raises(BoxTooLargeError):
@@ -454,7 +454,7 @@ def zero_cover_max(k, limits, rank=None):
         sum(1 << i for i, v in enumerate(graph.vectors) if v[j] == 0)
         for j in range(len(limits))
     ]
-    return max_clique(graph.adj, graph.n, covers=covers).size
+    return max_clique(graph.adj, covers=covers).size
 
 
 # Per-coordinate thresholds and the largest box side their oracle

@@ -9,6 +9,11 @@ verification failed, a search target was refuted, or a containment
 query came back negative; 2 usage errors or malformed input files;
 3 a resource limit truncated the answer.
 
+`search --box` certifies globally (`exhaustive yes`) whenever the box
+contains [0, best]^w, as the default compression box does.  `--ks`
+takes positive thresholds in any order, except where the library needs
+them nondecreasing (`bound`, `construct --kind genproduct`).
+
 `--format records` (every subcommand but `construct`, which writes a
 family file) emits tab-separated key/value lines with the same numeric
 content as the human table.  `search --deterministic` forces a single
@@ -154,7 +159,6 @@ def _search_pairs(res: SearchResult, deterministic: bool):
     if not deterministic:
         pairs.append(("elapsed", f"{res.elapsed:.2f}s"))
     pairs.append(("box", str(res.box)))
-    pairs.append(("box_derivation", res.box.derivation))
     return pairs
 
 
@@ -197,8 +201,8 @@ def _cmd_search(args) -> int:
         # A refutation is definitive for the searched box whenever the
         # run was not resource-truncated; a truncated run decided nothing.
         return EXIT_TRUNCATED if res.truncated else EXIT_NEGATIVE
-    # A finished search of a user box is not exhaustive (the box carries
-    # no completeness certificate), but no limit truncated it.
+    # A finished search exits 0 whether or not its box makes the answer
+    # global (the certificate line says which); only a limit makes it 3.
     return EXIT_TRUNCATED if res.truncated else EXIT_OK
 
 
@@ -401,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> str | None:
     sub = args.subcommand
     ks = getattr(args, "ks", None)
-    if ks is not None and list(ks) != sorted(ks):
-        return "--ks must be nondecreasing"
     if sub in ("verify", "search", "bound"):
         if (args.k is not None) == (ks is not None):
             return "exactly one of --k or --ks is required"

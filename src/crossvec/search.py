@@ -10,10 +10,13 @@ answer global is a complete box.
 
 Box completeness.  For any thresholds ks, every verifying family of m
 vectors has a verifying copy of the same size inside [0, m-1]^w
-(`compression_box`), so refuting size m there refutes it over all of
-Z^w; since that box contains the boxes for all smaller targets, a
-completed search also certifies the in-box maximum as the global one.
-Translate the family so every coordinate minimum is 0 (both defining
+(`compression_box`), so any box whose limits are all at least m - 1
+is complete for m: refuting size m there refutes it over all of Z^w.
+Completeness is thus a function of the limits, `SearchBox.complete_for`
+(one more than the least limit).  A finished search whose in-box
+maximum is below it has found the global maximum, since a family one
+larger would have a copy in the box.  To build the copy, translate
+the family so every coordinate minimum is 0 (both defining
 constraints depend only on differences), then run `compress` on each
 coordinate c in turn.  Its cross digraph has a short edge A -> B when
 A[c] - B[c] = 1 and B >= A elsewhere, and a long edge when
@@ -154,10 +157,13 @@ BuildDeadlineError into a truncated result whose note is the error,
 hands the clique engine the time and nodes left of the budget, and
 checks with a raising check (not an assert) that the witness verifies,
 has exactly the reported size and, in a ranked search, constant rank.
-It returns the SearchResult with size, witness, nodes, time, box and
-truncation filled in and exhaustive=False; each entry point only adds
-its verdict (exhaustive, target and found, and a note unless the build
-error already is one) with `dataclasses.replace`.
+It alone decides the verdict.  A ranked search is exhaustive when it
+is not truncated (the translation argument above).  A box search is
+exhaustive when its witness reached the target, or when it is not
+truncated and the box is complete for one more than its in-box
+maximum.  That covers refutations too: by "Clipping" a refuted search
+reports the box's exact in-box maximum.  Each entry point only adds a
+note, unless the build error already is one.
 """
 
 from __future__ import annotations
@@ -168,7 +174,6 @@ import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 # max_clique is unused here but stays importable: perfbench wraps both.
 from .clique import max_clique, max_clique_parallel  # noqa: F401
@@ -192,11 +197,13 @@ class SearchLimits:
     `node_limit` is one budget for the whole operation: the reported
     `nodes` never exceeds it, and with several workers each gets a share
     of what is left, the shares summing to it.  Under tight caps the
-    exact truncation point can therefore vary with the worker count;
-    within the caps, results are schedule-independent.  A negative or
-    NaN cap, or a node limit that is not a whole number, raises
-    ValueError; an integral float such as 1e6 is kept as the int it
-    names.  A zero time or node limit truncates.
+    exact truncation point can therefore vary with the worker count.
+    Within the caps, sizes, verdicts and witnesses are
+    schedule-independent; box-search node counts are not (refuting
+    f(3,3) = 10 takes 34,641 nodes on one worker, 34,739 on two).  A
+    negative or NaN cap, or a node limit that is not a whole number,
+    raises ValueError; an integral float such as 1e6 is kept as the int
+    it names.  A zero time or node limit truncates.
     """
 
     time_limit: float | None = 60.0
@@ -222,14 +229,11 @@ class SearchLimits:
 class SearchBox:
     """Per-coordinate inclusive upper limits; lower limits are fixed at 0.
 
-    `complete_for` records the largest target size for which the box is
-    known to contain an image of every verifying family (None for plain
-    user boxes); completeness for m implies it for every smaller size.
+    It holds a copy of every verifying family of at most `complete_for`
+    vectors (module docstring, "Box completeness").
     """
 
     limits: tuple[int, ...]
-    derivation: str = "user"
-    complete_for: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "limits", tuple(int(x) for x in self.limits))
@@ -247,8 +251,9 @@ class SearchBox:
     def size(self) -> int:
         return math.prod(x + 1 for x in self.limits)
 
-    def points(self) -> Iterable[Vector]:
-        return itertools.product(*(range(x + 1) for x in self.limits))
+    @property
+    def complete_for(self) -> int:
+        return min(self.limits) + 1
 
     def __str__(self) -> str:
         if len(set(self.limits)) == 1:
@@ -257,25 +262,15 @@ class SearchBox:
 
 
 def compression_box(ks, w: int, m: int) -> SearchBox:
-    """The compression-complete box [0, m-1]^w for thresholds ks.
+    """The box [0, m-1]^w, complete for size m under any thresholds.
 
-    `ks` is an int (a uniform threshold) or one threshold per
-    coordinate.  Every verifying family of size m has a verifying copy
-    of the same size here (module docstring, "Box completeness"), so
-    refuting size m here refutes it globally.
+    `ks`, an int (a uniform threshold) or one threshold per coordinate,
+    is only checked (module docstring, "Box completeness").
     """
-    seq = threshold_seq(ks, w)
+    threshold_seq(ks, w)
     if m < 1:
         raise ValueError(f"target size must be >= 1, got {m}")
-    if len(set(seq)) == 1:
-        what = f"uniform k={seq[0]}"
-    else:
-        what = "ks=" + ",".join(map(str, seq))
-    return SearchBox(
-        (m - 1,) * w,
-        derivation=f"compression-complete for size {m} ({what})",
-        complete_for=m,
-    )
+    return SearchBox((m - 1,) * w)
 
 
 @dataclass
@@ -425,13 +420,12 @@ def _roots(graph: CompatibilityGraph) -> list[int]:
 class SearchResult:
     """Outcome of a search operation.
 
-    `exhaustive` means the reported answer is certified for all of Z^w,
-    not merely for the searched box: either a witness was found (its own
-    certificate for an existence target), or the search completed over a
-    box that is complete for every size the answer concerns.  `witness`
-    always verifies and has exactly `best_size` members.  `truncated`
-    distinguishes a resource-capped run from one that finished its box
-    (a finished run over a merely local box still has exhaustive=False).
+    `exhaustive` means the reported answer holds for all of Z^w, not
+    merely for the box (module docstring, "One driver").  `witness`
+    always verifies and has exactly `best_size` members; `found` says
+    whether it reached `target` (None without one).  `truncated` tells
+    a resource-capped run from one that finished its box, which may
+    still be too small to make its answer global.
     """
 
     best_size: int
@@ -441,9 +435,12 @@ class SearchResult:
     elapsed: float
     box: SearchBox
     target: int | None = None
-    found: bool | None = None
     truncated: bool = False
     notes: tuple[str, ...] = ()
+
+    @property
+    def found(self) -> bool | None:
+        return None if self.target is None else self.best_size >= self.target
 
 
 def normalize(family: Family, ks) -> Family:
@@ -507,7 +504,7 @@ def _covers(graph: CompatibilityGraph, levels: bool):
 
 
 def _search(
-    seq, box: SearchBox, limits: SearchLimits, workers: int, stop_at=None, ranked=False
+    seq, box: SearchBox, limits: SearchLimits, workers: int, target=None, ranked=False
 ) -> SearchResult:
     """The one search driver (module docstring, "One driver").
 
@@ -515,12 +512,12 @@ def _search(
     0..floor(sum(limits)/2) in increasing rank, starting from the
     translated product family (module docstring, "Mirrored slices") and
     skipping any slice no larger than the incumbent.  A box search uses
-    level covers, and with a target `stop_at` it searches only
-    box ∩ [0, stop_at - 1]^w (module docstring, "Level covers" and
+    level covers, and with a `target` it searches only
+    box ∩ [0, target - 1]^w (module docstring, "Level covers" and
     "Clipping"); the result still reports `box`.  A ranked search uses
-    zero covers.
-    The result is never exhaustive: the entry points judge that.  Its
-    notes hold only a build error's text, if the build raised one.
+    zero covers.  The result carries the verdict (module docstring,
+    "One driver"); its notes hold only a build error's text, if the
+    build raised one.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -528,8 +525,8 @@ def _search(
     deadline = None if limits.time_limit is None else start + limits.time_limit
     levels = not ranked
     searched = box
-    if levels and stop_at is not None:
-        searched = replace(box, limits=tuple(min(x, stop_at - 1) for x in box.limits))
+    if levels and target is not None:
+        searched = SearchBox(tuple(min(x, target - 1) for x in box.limits))
     best, witness, nodes, truncated, notes = 0, Family(box.width), 0, False, ()
     if ranked:
         what = f"largest rank slice of box {box}"
@@ -553,7 +550,7 @@ def _search(
             covers, requires = _covers(graph, levels)
             rem = _remaining(limits, start, nodes)
             res = max_clique_parallel(
-                graph.adj, _roots(graph), best, stop_at,
+                graph.adj, _roots(graph), best, target,
                 rem.node_limit, rem.time_limit, workers, covers, requires,
             )
             nodes += res.nodes
@@ -572,13 +569,16 @@ def _search(
             f"search produced a witness that is not a {kind} of "
             f"size {best}: {list(witness.vectors)}"
         )
+    found = target is not None and best >= target
+    exhaustive = found or (not truncated and (ranked or box.complete_for > best))
     return SearchResult(
         best_size=best,
         witness=witness,
-        exhaustive=False,
+        exhaustive=exhaustive,
         nodes=nodes,
         elapsed=time.monotonic() - start,
         box=box,
+        target=target,
         truncated=truncated,
         notes=notes,
     )
@@ -594,17 +594,15 @@ def exists_family(
 ) -> SearchResult:
     """Decide whether a verifying family of m vectors exists in a box.
 
-    With no box given, the compression box [0, m-1]^w is used, which
-    is complete for size m (module docstring, "Box completeness"), so a
-    completed refutation is global; in that case the result also
-    carries the in-box maximum and its witness, which by completeness
-    is the global maximum.  A found witness is returned as soon as the
-    engine hits size m.  Only the part of the box inside [0, m-1]^w is
-    built and searched, which holds a copy of every family of the box
-    with at most m vectors (module docstring, "Clipping"); the result
-    still reports the given box, and a refuted target its exact in-box
-    maximum.
+    The default box is the compression box [0, m-1]^w.  A found witness
+    is returned as soon as the engine hits size m.  Only the part of the
+    box inside [0, m-1]^w is built and searched (module docstring,
+    "Clipping"); the result still reports the given box, and a refuted
+    target its exact in-box maximum b, which with the refutation is
+    global when the box contains [0, b]^w, as the default box does.
     """
+    if w < 1:
+        raise ValueError(f"w must be >= 1, got {w}")
     seq = threshold_seq(ks, w)
     if m < 1:
         raise ValueError(f"target size must be >= 1, got {m}")
@@ -612,25 +610,21 @@ def exists_family(
         box = compression_box(seq, w, m)
     if box.width != w:
         raise ValueError(f"box width {box.width} != {w}")
-    res = _search(seq, box, limits or SearchLimits(), workers, stop_at=m)
+    res = _search(seq, box, limits or SearchLimits(), workers, target=m)
     best = res.best_size
-    found = best >= m
-    exhaustive = found or (
-        not res.truncated and box.complete_for is not None and box.complete_for >= m
-    )
-    if found:
+    if res.found:
         note = f"witness of size {best} found in box {box}"
     elif res.truncated:
         note = f"truncated before exhausting box {box}; best found {best}"
     else:
-        scope = "global" if exhaustive else f"within box {box} only"
+        scope = f"within box {box} only"
+        if res.exhaustive:
+            scope = f"global, as the box contains [0,{best}]^{w}"
         note = (
-            f"no family of size {m} in box {box} ({box.derivation}); "
-            f"refutation is {scope}; in-box maximum is {best}"
+            f"no family of size {m} in box {box}; refutation is {scope}; "
+            f"in-box maximum is {best}"
         )
-    return replace(
-        res, exhaustive=exhaustive, target=m, found=found, notes=res.notes or (note,)
-    )
+    return replace(res, notes=res.notes or (note,))
 
 
 def max_family_in_box(
@@ -639,8 +633,8 @@ def max_family_in_box(
     """Maximum verifying family within an explicit box.
 
     The answer is definitive for the box whenever the search is not
-    truncated; `exhaustive` is set only when the box is additionally
-    known complete for best_size + 1, making the value global.
+    truncated, and global (`exhaustive`) when the box also contains
+    [0, best_size]^w (module docstring, "Box completeness").
     """
     seq = threshold_seq(ks, box.width)
     res = _search(seq, box, limits or SearchLimits(), workers)
@@ -649,10 +643,7 @@ def max_family_in_box(
         note = f"truncated; {best} is only a lower bound for box {box}"
     else:
         note = f"in-box maximum for {box} is {best}"
-    exhaustive = (
-        not res.truncated and box.complete_for is not None and box.complete_for > best
-    )
-    return replace(res, exhaustive=exhaustive, notes=res.notes or (note,))
+    return replace(res, notes=res.notes or (note,))
 
 
 def max_family_size(
@@ -667,6 +658,8 @@ def max_family_size(
     m is the compression box [0, m-1]^w, complete for every ks (module
     docstring, "Box completeness").
     """
+    if w < 1:
+        raise ValueError(f"w must be >= 1, got {w}")
     seq = threshold_seq(ks, w)
     limits = limits or SearchLimits()
     start = time.monotonic()
@@ -680,8 +673,7 @@ def max_family_size(
     upper = math.prod(seq)
     nodes = 0
     while True:
-        box = compression_box(seq, w, best + 1)
-        res = exists_family(seq, w, best + 1, box, _remaining(limits, start, nodes), workers)
+        res = exists_family(seq, w, best + 1, None, _remaining(limits, start, nodes), workers)
         nodes += res.nodes
         if not res.found:
             break
@@ -732,20 +724,17 @@ def ranked_max_family_size(
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     side = (w - 1) * (k - 1)
-    box = SearchBox(
-        (side,) * w,
-        derivation="ranked (min-translated values fit in [0,(w-1)(k-1)])",
-    )
+    box = SearchBox((side,) * w)
     res = _search((k,) * w, box, limits or SearchLimits(), workers, ranked=True)
     if res.truncated:
         note = f"best found {res.best_size}; truncated"
     else:
         note = (
-            f"certified maximum constant-rank family size {res.best_size} (box "
-            f"{box}, rank slices 0..{w * side // 2} of 0..{w * side}, the upper "
-            f"ones by reflection)"
+            f"certified maximum constant-rank family size {res.best_size} (every "
+            f"ranked family translates into box {box}; rank slices "
+            f"0..{w * side // 2} of 0..{w * side}, the upper ones by reflection)"
         )
-    return replace(res, exhaustive=not res.truncated, notes=res.notes or (note,))
+    return replace(res, notes=res.notes or (note,))
 
 
 # ---------------------------------------------------------------------------

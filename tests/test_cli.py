@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -141,7 +142,10 @@ class TestSearchCommand:
         assert rec["found"] == "no"
         assert rec["exhaustive"] == "yes"
         assert rec["box"] == "[0,4]^3"
-        assert rec["box_derivation"] == "compression-complete for size 5 (uniform k=2)"
+        assert (
+            "note: no family of size 5 in box [0,4]^3; refutation is global, "
+            "as the box contains [0,4]^3;" in out
+        )
         assert "certificate: exhaustive" in out
 
     @pytest.mark.parametrize(
@@ -171,10 +175,11 @@ class TestSearchCommand:
             capsys, "search", "--k", "2", "--w", "2", "--box", "4,4",
             "--format", "records",
         )
-        # A finished user-box search exits 0 although it is not exhaustive.
+        # [0,4]^2 contains [0,2]^2, so its maximum f(2,2) = 2 is global.
         assert code == 0
         rec = records(out)
         assert rec["truncated"] == "no"
+        assert rec["exhaustive"] == "yes"
         expect, _ = brute_max_family((2, 2), (4, 4))
         assert rec["best_size"] == str(expect)
 
@@ -225,7 +230,12 @@ class TestSearchCommand:
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 1
         assert out1 == out2
-        assert "box             [0,9]^3" in out1
+        assert "box         [0,9]^3" in out1
+        # --box 9,9,9 is the compression box for target 10: the same
+        # search, byte for byte, down to `exhaustive yes`.
+        code3, out3, _ = run_cli(capsys, *argv, "--box", "9,9,9")
+        assert code3 == 1 and out3 == out1
+        assert "exhaustive  yes" in out1
 
     def test_usage_errors(self, capsys):
         code, _, err = run_cli(capsys, "search", "--w", "3")
@@ -238,14 +248,31 @@ class TestSearchCommand:
             capsys, "search", "--k", "2", "--w", "3", "--ranked", "--target", "4"
         )
         assert code == 2 and "--ranked" in err
-        code, _, err = run_cli(
-            capsys, "search", "--ks", "3,2", "--w", "2"
-        )
+        code, _, err = run_cli(capsys, "bound", "--ks", "3,2")
         assert code == 2 and "nondecreasing" in err
         code, _, err = run_cli(
             capsys, "search", "--k", "2", "--w", "3", "--box", "4,4"
         )
         assert code == 2 and "width" in err
+
+    def test_thresholds_in_any_order(self, capsys, tmp_path):
+        # As in the library, --ks need only be positive.
+        code, out, _ = run_cli(
+            capsys, "search", "--ks", "3,2", "--w", "2", "--format", "records"
+        )
+        assert code == 0
+        assert records(out)["best_size"] == "3"
+        fam = tmp_path / "fam.txt"
+        fam.write_text("w 2\n0 2\n1 1\n2 0\n")
+        code, out, _ = run_cli(capsys, "verify", "--input", str(fam), "--ks", "3,2")
+        assert code == 0 and "verified" in out
+        code, _, err = run_cli(capsys, "construct", "--kind", "genproduct", "--ks", "3,2")
+        assert code == 2 and "nondecreasing" in err
+
+    def test_width_zero_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--k", "2", "--w", "0")
+        assert code == 2 and out == ""
+        assert err == "error: w must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -274,6 +301,23 @@ class TestSearchCommand:
             )
             assert code == 3
             assert records(out)["truncated"] == "yes"
+
+
+class TestReadmeExamples:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @pytest.mark.parametrize(
+        "command",
+        ("crossvec search --k 2 --w 3 --deterministic", "crossvec bound --k 3 --w 4"),
+    )
+    def test_shown_output_lines(self, capsys, command):
+        # The README shows the first lines of each output, then "...".
+        block = self.README.read_text().split(f"$ {command}\n", 1)[1]
+        lines = block.split("```", 1)[0].splitlines()
+        shown = list(itertools.takewhile(lambda line: line != "...", lines))
+        code, out, _ = run_cli(capsys, *command.split()[1:])
+        assert code == 0
+        assert shown and out.splitlines()[: len(shown)] == shown
 
 
 class TestBoundCommand:

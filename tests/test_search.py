@@ -89,7 +89,7 @@ class TestBoxes:
         assert b.size == 20
         assert str(b) == "[0,4]x[0,3]"
         assert str(SearchBox((9, 9, 9))) == "[0,9]^3"
-        assert len(list(b.points())) == 20
+        assert b.complete_for == 4
         with pytest.raises(ValueError):
             SearchBox((3, -1))
         with pytest.raises(ValueError):
@@ -102,7 +102,9 @@ class TestBoxes:
         b = compression_box((1, 2, 3), 3, 4)
         assert b.limits == (3, 3, 3)
         assert b.complete_for == 4
-        assert b.derivation == "compression-complete for size 4 (ks=1,2,3)"
+        assert b == SearchBox((3, 3, 3))
+        # A box is its limits: an explicit box is the same box.
+        assert SearchBox((9, 9, 9)) == compression_box(3, 3, 10)
 
 
 class TestCompatibilityGraph:
@@ -168,11 +170,34 @@ class TestExistsFamily:
         assert verify(hit.witness, (1, 1, 2)).ok
 
     def test_explicit_box_refutation_is_not_global(self):
-        # a user box carries no completeness certificate
+        # [0,1]^2 holds a family of 2 but is complete only for size 2, so
+        # it cannot rule out 3 beyond the box.
         res = exists_family(2, 2, 3, box=SearchBox((1, 1)))
         assert not res.found
         assert not res.exhaustive
         assert not res.truncated
+
+    def test_explicit_box_certifies_by_its_limits(self):
+        # A given box that contains [0, m-1]^w is the compression box's
+        # equal: the same search, the same global verdict.
+        res = exists_family(3, 3, 10, box=SearchBox((9, 9, 9)))
+        assert res.found is False and res.exhaustive and not res.truncated
+        assert res.best_size == 9 and res.nodes == 34_641
+        # [0,2]^2 holds f(2,2) = 2 and is complete for size 3, so its
+        # maximum is global and refutes every larger target.
+        res = exists_family(2, 2, 5, box=SearchBox((2, 2)))
+        assert res.found is False and res.exhaustive and not res.truncated
+        assert res.best_size == 2
+        assert "refutation is global, as the box contains [0,2]^2" in res.notes[0]
+
+    def test_width_zero_is_refused(self):
+        for call in (
+            lambda: exists_family(2, 0, 3),
+            lambda: max_family_size(2, 0),
+            lambda: ranked_max_family_size(2, 0),
+        ):
+            with pytest.raises(ValueError, match="w must be >= 1"):
+                call()
 
     def test_node_limit_truncates(self):
         res = exists_family(2, 2, 3, limits=SearchLimits(node_limit=1))
@@ -294,7 +319,7 @@ class TestExistsFamily:
         assert res.best_size == 9 and len(res.witness) == 9
         assert verify(res.witness, 3).ok
         assert str(res.box) == "[0,9]^3"
-        assert res.box.derivation.startswith("compression-complete")
+        assert res.box.complete_for == 10
         assert res.nodes == 34_641
 
     def test_failing_witness_check_raises(self, monkeypatch):
@@ -339,7 +364,7 @@ class TestMaxFamily:
         assert res.best_size == 9
         assert res.exhaustive and not res.truncated
         assert str(res.box) == "[0,9]^3"
-        assert res.box.derivation.startswith("compression-complete")
+        assert res.box.complete_for == 10
         assert verify(res.witness, 3).ok and len(res.witness) == 9
 
     def test_box_results_match_brute_force(self):
@@ -395,6 +420,13 @@ class TestMaxFamily:
         res = max_family_in_box(2, compression_box(2, 3, 4))
         assert res.best_size == 4 and not res.exhaustive and not res.truncated
         assert verify(res.witness, 2).ok and len(res.witness) == 4
+        # The verdict follows the least limit alone: a given [0,4]^3 is
+        # the compression box for 5, and a limit of 2 leaves a box
+        # complete only for 3.
+        res = max_family_in_box(2, SearchBox((4, 4, 4)))
+        assert res.best_size == 4 and res.exhaustive and not res.truncated
+        res = max_family_in_box(2, SearchBox((4, 4, 2)))
+        assert res.best_size == 4 and not res.exhaustive and not res.truncated
 
     def test_in_box_node_count_w4(self):
         # The node count pins every branching decision of the engine.

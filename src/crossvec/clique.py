@@ -51,7 +51,7 @@ of a class, so a node with c pending covers in one class needs at least
 c more vertices; `need` is the largest such c.  Without `requires` no
 classes are formed and need is 0, so a plain cover search takes every
 branch that a full colouring takes (below), apart from its forced
-vertices.
+vertices and the support filter.
 
 Forced vertices.  A clique S recorded below a node must meet every
 cover pending at the node, and S's own vertices meet none of them, so
@@ -78,10 +78,34 @@ every clique the forced rule skips misses a pending cover and never
 qualifies; so the recorded sizes, and with them `initial`, `stop_at`
 and the workers' merge, are those of the search without the rule.
 
-Colouring.  After its forced vertices a node colours its candidates
-greedily, one colour class at a time: a class takes the largest
-candidate left, drops it and its neighbours from the class, and
-repeats.  A clique grown at a node of depth d from a vertex of colour c
+Support filter.  After its forced vertices a node with pending covers
+drops every candidate that no clique recorded below it can hold.  Such
+a clique adds to the stack a set T of candidates that meets each
+pending cover C (the argument above), at some u in H = C & cand, and
+every other vertex of T is a neighbour of u.  So T lies in
+reach_C = H | (the union of the rows of H's vertices) for every pending
+C, and the node sets cand &= the AND of the reach_C, each taken from
+the candidates it started with.  The argument uses no property of the
+covers, so level covers and zero covers alike keep the search exact.
+If cand shrank, the node returns when depth + |cand| is no more than
+the incumbent or a pending cover no longer meets cand; it looks for no
+further forced vertex.  The rule composes with the rest.  It runs once
+per node, after the forced vertices and on the candidates they leave.
+The count cut, the colouring and its bound (below) see the filtered
+candidates.  A clique that meets every pending cover keeps all its
+candidates: each is a neighbour of the clique's vertex in each cover.
+So every clique that qualifies has the same candidates with and without
+the filter, and goes through the recording rule as before.  Every
+clique the filter skips holds a dropped vertex, so it misses a pending
+cover and never qualifies.  So the recorded sizes, and with them
+`initial`, `stop_at` and the workers' merge, are those of the search
+without the filter; only the node count and, among cliques of one
+size, the witness found first can change.
+
+Colouring.  After the forced vertices and the support filter a node
+colours its candidates greedily, one colour class at a time: a class
+takes the largest candidate left, drops it and its neighbours from the
+class, and repeats.  A clique grown at depth d from a colour-c vertex
 gains at most c vertices, so the node branches on the coloured vertices
 from the highest colour down and returns at the first vertex whose c
 has d + c <= the incumbent size.  The incumbent only grows, so every
@@ -102,8 +126,9 @@ class leaves the candidates with the union nb of its members' rows: it
 is independent and takes every candidate that is no member's
 neighbour, so the candidates it leaves are exactly those in nb, and
 cand &= nb removes it (this is where a self-loop would keep a member in
-cand).  Apart from the count cut and the forced vertices, the classes,
-their order and every branch taken are those of a full colouring.
+cand).  Apart from the count cut, the forced vertices and the support
+filter, the classes, their order and every branch taken are those of a
+full colouring.
 
 Workers > 1 splits the roots round-robin across processes.  Each worker
 finishes its share, so sizes are schedule-independent; among equal
@@ -116,7 +141,6 @@ the limit.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -252,6 +276,32 @@ class _Search:
                         return
                     single = hit
                     break
+                bits ^= 1 << (b - 1)
+        # Support filter (module docstring): keep a candidate only if, for
+        # every pending cover, it lies in the cover or next to one of the
+        # cover's candidates.  `miss` starts as the kept candidates outside
+        # the cover and loses each cover candidate's neighbours.
+        keep = cand
+        bits = pend
+        while bits:
+            b = bits.bit_length()
+            hit = covers[b] & cand
+            miss = keep & ~covers[b]
+            while miss and hit:
+                q = hit.bit_length()
+                miss ^= miss & rows[q]
+                hit ^= 1 << (q - 1)
+            keep ^= miss
+            bits ^= 1 << (b - 1)
+        if keep != cand:
+            cand = keep
+            if depth + cand.bit_count() <= self.best_size:
+                return
+            bits = pend
+            while bits:
+                b = bits.bit_length()
+                if not covers[b] & cand:
+                    return
                 bits ^= 1 << (b - 1)
         kmin = self.best_size - depth + 1
         if pend.bit_count() > kmin:  # else no class can need more
@@ -439,6 +489,9 @@ def max_clique_parallel(
         )
         for i, c in enumerate(chunks)
     ]
+    # Imported here: concurrent.futures is a sizeable share of `import crossvec`.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         results = list(pool.map(_worker, jobs))
     best_size = max(r.size for r in results)

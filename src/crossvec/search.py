@@ -200,7 +200,7 @@ class SearchLimits:
     exact truncation point can therefore vary with the worker count.
     Within the caps, sizes, verdicts and witnesses are
     schedule-independent; box-search node counts are not (refuting
-    f(3,3) = 10 takes 34,641 nodes on one worker, 34,739 on two).  A
+    f(3,3) = 10 takes 15,577 nodes on one worker, 15,621 on two).  A
     negative or NaN cap, or a node limit that is not a whole number,
     raises ValueError; an integral float such as 1e6 is kept as the int
     it names.  A zero time or node limit truncates.

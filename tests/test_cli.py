@@ -150,8 +150,12 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "ks,size,nodes,box",
-        (("2,3,3", "9", "11771", "[0,9]^3"), ("1,2,3", "6", "248", "[0,6]^3")),
-        ids=("2-3-3", "1-2-3"),
+        (
+            ("2,3,3", "9", "3805", "[0,9]^3"),
+            ("1,2,3", "6", "209", "[0,6]^3"),
+            ("2,3,4", "12", "66450", "[0,12]^3"),
+        ),
+        ids=("2-3-3", "1-2-3", "2-3-4"),
     )
     def test_per_coordinate_thresholds_certify(self, capsys, ks, size, nodes, box):
         code, out, _ = run_cli(

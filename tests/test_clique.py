@@ -75,6 +75,16 @@ def brute_max_requiring_clique(n, adj, covers, requires, roots=None):
     return best
 
 
+def qualifies(adj, covers, requires, members):
+    """Whether members form a clique that meets every cover one of them requires."""
+    req = met = 0
+    for v in members:
+        req |= requires[v]
+        met |= sum(1 << j for j, m in enumerate(covers) if m >> v & 1)
+    clique = all(adj[a] >> b & 1 for a, b in itertools.combinations(members, 2))
+    return clique and not req & ~met
+
+
 def random_levels(rng, n, max_top=3):
     """Covers and prefix-shaped requires from random vertex levels.
 
@@ -103,10 +113,24 @@ def random_instance(rng, max_n=14):
     return n, adj_from_edges(n, edges), covers
 
 
+def support_filter(adj, cand, masks):
+    """The candidates that lie in every mask or next to one of its candidates."""
+    keep = cand
+    for m in masks:
+        hit = m & cand
+        reach = hit
+        for u in range(len(adj)):
+            if hit >> u & 1:
+                reach |= adj[u]
+        keep &= reach
+    return keep
+
+
 def reference_max_clique(adj, n, roots, initial, covers):
-    """The engine's branch and bound, but every node records all its
-    candidates' colours.  The engine records only the vertices that can
-    branch, which must leave (size, members, nodes) exactly the same.
+    """The engine's branch and bound, with its forced vertices and
+    support filter, but every node records all its candidates' colours.
+    The engine records only the vertices that can branch, which must
+    leave (size, members, nodes) exactly the same.
     """
     member = [sum(1 << j for j, m in enumerate(covers) if m >> v & 1) for v in range(n)]
 
@@ -150,6 +174,12 @@ def reference_max_clique(adj, n, roots, initial, covers):
             if not cand and not pend and depth > best:
                 best, members = depth, tuple(sorted(stack))
             if depth + cand.bit_count() <= best:
+                return
+        # Support filter, once, on the candidates the forced vertices leave.
+        keep = support_filter(adj, cand, masks(pend))
+        if keep != cand:
+            cand = keep
+            if depth + cand.bit_count() <= best or not all(m & cand for m in masks(pend)):
                 return
         order, colors = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
@@ -207,8 +237,9 @@ def reference_search(
     """The engine's whole contract in its mirror image, from the least vertex up.
 
     Root i explores the cliques whose least vertex is i.  Every node
-    first takes its forced vertices, then colours all its candidates,
-    each class taking the least vertex left.
+    first takes its forced vertices, then applies the support filter,
+    then colours all its candidates, each class taking the least vertex
+    left.
     Covers are sets of indices; the count cut, the recording rule and
     both limits follow the module docstring.  Returns (size, members,
     nodes, truncated).
@@ -278,6 +309,12 @@ def reference_search(
             if not pend and depth > best and (not cand or len(met) < k):
                 record(depth)
             if depth + cand.bit_count() <= best:
+                return
+        # Support filter, once, on the candidates the forced vertices leave.
+        keep = support_filter(adj, cand, [covers[j] for j in pend])
+        if keep != cand:
+            cand = keep
+            if depth + cand.bit_count() <= best or not meets(pend, cand):
                 return
         need = max((len(pend & c) for c in classes), default=0)
         order, colors = color_sort(cand)
@@ -468,12 +505,7 @@ class TestRequires:
                 improved += 1
                 ms = res.members
                 assert len(ms) == res.size > initial and max(ms) in roots
-                assert all(adj[a] >> b & 1 for a, b in itertools.combinations(ms, 2))
-                req = met = 0
-                for v in ms:
-                    req |= requires[v]
-                    met |= sum(1 << j for j, m in enumerate(covers) if m >> v & 1)
-                assert not req & ~met, case
+                assert qualifies(adj, covers, requires, ms), case
                 # some best cliques are not maximal in the graph
                 internal += any(
                     all(adj[u] >> v & 1 for v in ms) for u in range(n) if u not in ms
@@ -587,6 +619,66 @@ class TestForcedVertices:
         assert max_clique(adj).nodes == 2
         res = max_clique(adj, covers=[0b001])
         assert (res.size, res.members, res.nodes) == (3, (0, 1, 2), 1)
+
+
+def random_groups(rng, n):
+    """Covers in groups of disjoint masks, and requires from their prefixes.
+
+    A vertex lies in at most one mask of a group, and it may lie in
+    none.  It requires a prefix of each group: the masks up to its own,
+    or a random prefix when it is in no mask of the group (as zero
+    covers leave a vertex that meets none of them).
+    """
+    covers, requires = [], [0] * n
+    for _ in range(rng.randrange(1, 4)):
+        size = rng.randrange(1, 5)
+        slot = [rng.randrange(-1, size) for _ in range(n)]
+        for v in range(n):
+            prefix = slot[v] + 1 if slot[v] >= 0 else rng.randrange(size + 1)
+            requires[v] |= ((1 << prefix) - 1) << len(covers)
+        covers += [sum(1 << v for v in range(n) if slot[v] == l) for l in range(size)]
+    return covers, requires
+
+
+class TestSupportFilter:
+    def test_level_shaped_instances_match_subset_dp(self):
+        # The filter runs at every node with pending covers; the sizes
+        # must still be those of the subset DP, under incumbents, stop_at
+        # and root subsets.
+        rng = random.Random(1717)
+        improved = kept_initial = stopped = 0
+        for case in range(300):
+            n = rng.randrange(1, 15)
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            adj = adj_from_edges(n, edges)
+            covers, requires = random_groups(rng, n)
+            roots = list(range(n))
+            if rng.random() < 0.3:
+                roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            initial = rng.choice((0, 0, 1, 2))
+            stop_at = rng.choice((None, None, 2, 3, 4))
+            res = max_clique(adj, roots, initial, stop_at, covers=covers, requires=requires)
+            best = max(initial, brute_max_requiring_clique(n, adj, covers, requires, set(roots)))
+            assert not res.truncated
+            if stop_at is not None and stop_at <= initial:
+                # The incumbent has reached the target: no node is spent.
+                assert (res.size, res.nodes) == (initial, 0), case
+            elif stop_at is not None and best >= stop_at:
+                # A stop may come at any size from stop_at to the maximum.
+                stopped += 1
+                assert stop_at <= res.size <= best, case
+            else:
+                assert res.size == best, case
+            if res.members:
+                improved += 1
+                ms = res.members
+                assert len(ms) == res.size > initial and max(ms) in roots
+                assert qualifies(adj, covers, requires, ms), case
+            else:
+                kept_initial += 1
+                assert res.size == initial
+        assert improved > 100 and kept_initial > 20 and stopped > 20
 
 
 class TestParallel:

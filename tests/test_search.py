@@ -182,7 +182,7 @@ class TestExistsFamily:
         # equal: the same search, the same global verdict.
         res = exists_family(3, 3, 10, box=SearchBox((9, 9, 9)))
         assert res.found is False and res.exhaustive and not res.truncated
-        assert res.best_size == 9 and res.nodes == 34_641
+        assert res.best_size == 9 and res.nodes == 15_577
         # [0,2]^2 holds f(2,2) = 2 and is complete for size 3, so its
         # maximum is global and refutes every larger target.
         res = exists_family(2, 2, 5, box=SearchBox((2, 2)))
@@ -305,11 +305,11 @@ class TestExistsFamily:
     def test_zero_cover_prunes_f33_refutation(self):
         # Without covers this refutation takes 399,547 nodes, with zero
         # covers alone 76,111; level covers and the count cut take 37,266,
-        # and forced vertices fewer.
+        # forced vertices 34,641, and the support filter 15,577.
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes == 34_641
+        assert res.nodes == 15_577
 
     def test_default_box_is_compression_box(self):
         # With no box given, target 10 searches the compression box
@@ -320,7 +320,7 @@ class TestExistsFamily:
         assert verify(res.witness, 3).ok
         assert str(res.box) == "[0,9]^3"
         assert res.box.complete_for == 10
-        assert res.nodes == 34_641
+        assert res.nodes == 15_577
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -432,7 +432,7 @@ class TestMaxFamily:
         # The node count pins every branching decision of the engine.
         res = max_family_in_box(2, SearchBox((4,) * 4))
         assert res.best_size == 8 and not res.truncated
-        assert res.nodes == 58_944
+        assert res.nodes == 42_274
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
@@ -532,8 +532,8 @@ class TestLevelCovers:
         # keep zero covers.
         res = exists_family((2, 3, 3), 3, 6)
         assert res.found and str(res.box) == "[0,5]^3"
-        assert res.nodes == 18
-        assert ranked_max_family_size(3, 4).nodes == 761
+        assert res.nodes == 15
+        assert ranked_max_family_size(3, 4).nodes == 500
 
 
 class TestRankedSearch:
@@ -565,7 +565,7 @@ class TestRankedSearch:
         # The seed is never beaten, so every root refutes the same bound
         # whatever the schedule.  Unseeded, (2,6) took 23,156 nodes on one
         # worker and 23,253 on two.
-        for (k, w), nodes in (((3, 4), 761), ((2, 5), 256)):
+        for (k, w), nodes in (((3, 4), 500), ((2, 5), 184)):
             for workers in (1, 2):
                 res = ranked_max_family_size(k, w, workers=workers)
                 assert res.nodes == nodes and res.exhaustive, (k, w, workers)

@@ -42,6 +42,21 @@ def test_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_serial_search_does_not_load_process_pool():
+    # The process pool is imported only where workers start, so importing
+    # the package and its CLI and running a serial search leave it out.
+    code = (
+        "import sys, crossvec, crossvec.cli\n"
+        "assert crossvec.exists_family(2, 3, 5).found is False\n"
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(crossvec.__file__).parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_public_names_resolve_and_are_sorted():
     # A name left in __all__ after its object is gone only fails on
     # `from crossvec import *`; check every name here instead.

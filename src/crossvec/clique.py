@@ -81,26 +81,36 @@ and the workers' merge, are those of the search without the rule.
 Support filter.  After its forced vertices a node with pending covers
 drops every candidate that no clique recorded below it can hold.  Such
 a clique adds to the stack a set T of candidates that meets each
-pending cover C (the argument above), at some u in H = C & cand, and
-every other vertex of T is a neighbour of u.  So T lies in
-reach_C = H | (the union of the rows of H's vertices) for every pending
-C, and the node sets cand &= the AND of the reach_C, each taken from
-the candidates it started with.  The argument uses no property of the
-covers, so level covers and zero covers alike keep the search exact.
-If cand shrank, the node returns when depth + |cand| is no more than
-the incumbent or a pending cover no longer meets cand; it looks for no
-further forced vertex.  The rule composes with the rest.  It runs once
-per node, after the forced vertices and on the candidates they leave.
-The count cut, the colouring and its bound (below) see the filtered
-candidates.  A clique that meets every pending cover keeps all its
-candidates: each is a neighbour of the clique's vertex in each cover.
-So every clique that qualifies has the same candidates with and without
-the filter, and goes through the recording rule as before.  Every
-clique the filter skips holds a dropped vertex, so it misses a pending
-cover and never qualifies.  So the recorded sizes, and with them
-`initial`, `stop_at` and the workers' merge, are those of the search
-without the filter; only the node count and, among cliques of one
-size, the witness found first can change.
+pending cover C (the argument above), and every other vertex of T is a
+neighbour of T's vertex in C.  The node walks the pending covers from
+the top bit down with keep, at first cand: for each C it takes
+H = C & keep and sets keep &= H | (the union of the rows of H's
+vertices).  H comes from the candidates the earlier covers left, not
+from cand, so each cover narrows the ones after it; this stays exact,
+since T lies in keep after every earlier cover, so its vertex in C lies
+in H and the rest of T in that vertex's row.  An empty H is a cut, and
+the node returns at once.  The argument uses no property of the covers,
+so level covers and zero covers alike keep the search exact.  If cand
+shrank, the node sets cand = keep, returns when depth + |cand| is no
+more than the incumbent, and scans the pending covers from the top bit
+down as after a forced vertex: a cover walked early may have lost its
+last candidate to a later one (a cut), or be left with one (a forced
+vertex).  The rule composes with forced vertices as one loop: forced
+vertices, then a filter pass, then back to forced vertices whenever a
+shrinking pass leaves a single candidate in a pending cover, and each
+new forced vertex is followed by a new pass.  The node colours once a
+pass leaves cand as it was, or shrinks it and leaves no cover single;
+the filter is not repeated to a fixpoint.  The count cut, the colouring
+and its bound (below) see the filtered candidates.  A clique that meets
+every pending cover keeps all its candidates: by the same induction
+each is a neighbour of the clique's vertex in each cover, taken from
+keep.  So every clique that qualifies has the same candidates with and
+without the filter, and goes through the recording rule as before.
+Every clique the filter skips holds a dropped vertex, so it misses a
+pending cover and never qualifies.  So the recorded sizes, and with
+them `initial`, `stop_at` and the workers' merge, are those of the
+search without the filter; only the node count and, among cliques of
+one size, the witness found first can change.
 
 Colouring.  After the forced vertices and the support filter a node
 colours its candidates greedily, one colour class at a time: a class
@@ -253,19 +263,49 @@ class _Search:
         if self.deadline is not None and not self.nodes & 255:
             if time.monotonic() > self.deadline:
                 raise _OutOfBudget
-        # Forced vertices (module docstring): push one, then scan the
-        # pending covers from the top bit down for a cut or the next one.
-        while single:
-            q = single.bit_length()
-            stack.append(q)
-            depth += 1
-            cand &= rows[q]
-            met |= member[q]
-            pend = (pend | requires[q]) & ~met
-            if not pend and depth > self.best_size and (not cand or met != all_covers):
-                self._record(depth)
+        # Forced vertices and the support filter (module docstring), until
+        # a filter pass leaves cand as it was or leaves no cover single.
+        filtered = False
+        while True:
+            if single:
+                q = single.bit_length()
+                stack.append(q)
+                depth += 1
+                cand &= rows[q]
+                met |= member[q]
+                pend = (pend | requires[q]) & ~met
+                if not pend and depth > self.best_size and (not cand or met != all_covers):
+                    self._record(depth)
+                filtered = False
+            elif filtered:
+                break
+            else:
+                # From the top bit down, keep a candidate only if it lies in
+                # the cover or next to one of the cover's candidates still
+                # kept.  `miss` starts as the kept candidates outside the
+                # cover and loses each cover candidate's neighbours.
+                keep = cand
+                bits = pend
+                while bits:
+                    b = bits.bit_length()
+                    hit = covers[b] & keep
+                    if not hit:
+                        return
+                    miss = keep & ~covers[b]
+                    while miss and hit:
+                        q = hit.bit_length()
+                        miss ^= miss & rows[q]
+                        hit ^= 1 << (q - 1)
+                    keep ^= miss
+                    bits ^= 1 << (b - 1)
+                if keep == cand:
+                    break
+                cand = keep
+                filtered = True
             if depth + cand.bit_count() <= self.best_size:
                 return
+            # Scan the pending covers from the top bit down for a cut or the
+            # next forced vertex.
             single = 0
             bits = pend
             while bits:
@@ -276,32 +316,6 @@ class _Search:
                         return
                     single = hit
                     break
-                bits ^= 1 << (b - 1)
-        # Support filter (module docstring): keep a candidate only if, for
-        # every pending cover, it lies in the cover or next to one of the
-        # cover's candidates.  `miss` starts as the kept candidates outside
-        # the cover and loses each cover candidate's neighbours.
-        keep = cand
-        bits = pend
-        while bits:
-            b = bits.bit_length()
-            hit = covers[b] & cand
-            miss = keep & ~covers[b]
-            while miss and hit:
-                q = hit.bit_length()
-                miss ^= miss & rows[q]
-                hit ^= 1 << (q - 1)
-            keep ^= miss
-            bits ^= 1 << (b - 1)
-        if keep != cand:
-            cand = keep
-            if depth + cand.bit_count() <= self.best_size:
-                return
-            bits = pend
-            while bits:
-                b = bits.bit_length()
-                if not covers[b] & cand:
-                    return
                 bits ^= 1 << (b - 1)
         kmin = self.best_size - depth + 1
         if pend.bit_count() > kmin:  # else no class can need more

@@ -200,7 +200,7 @@ class SearchLimits:
     exact truncation point can therefore vary with the worker count.
     Within the caps, sizes, verdicts and witnesses are
     schedule-independent; box-search node counts are not (refuting
-    f(3,3) = 10 takes 15,577 nodes on one worker, 15,621 on two).  A
+    f(3,3) = 10 takes 13,547 nodes on one worker, 13,587 on two).  A
     negative or NaN cap, or a node limit that is not a whole number,
     raises ValueError; an integral float such as 1e6 is kept as the int
     it names.  A zero time or node limit truncates.
@@ -230,18 +230,24 @@ class SearchBox:
     """Per-coordinate inclusive upper limits; lower limits are fixed at 0.
 
     It holds a copy of every verifying family of at most `complete_for`
-    vectors (module docstring, "Box completeness").
+    vectors (module docstring, "Box completeness").  A negative or
+    fractional limit raises ValueError; an integral float such as 3.0 is
+    kept as the int it names.
     """
 
     limits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "limits", tuple(int(x) for x in self.limits))
-        if not self.limits:
+        limits = tuple(self.limits)
+        if not limits:
             raise ValueError("box must have at least one coordinate")
-        for x in self.limits:
+        for x in limits:
+            # Truncating 2.7 to 2 would search a box other than the one asked for.
+            if x % 1:
+                raise ValueError(f"box limits must be whole numbers, got {x}")
             if x < 0:
                 raise ValueError(f"box limits must be >= 0, got {x}")
+        object.__setattr__(self, "limits", tuple(map(int, limits)))
 
     @property
     def width(self) -> int:

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,15 +150,15 @@ class TestSearchCommand:
         assert "certificate: exhaustive" in out
 
     @pytest.mark.parametrize(
-        "ks,size,nodes,box",
+        "ks,size,nodes,box,in_readme",
         (
-            ("2,3,3", "9", "3805", "[0,9]^3"),
-            ("1,2,3", "6", "209", "[0,6]^3"),
-            ("2,3,4", "12", "66450", "[0,12]^3"),
+            ("2,3,3", "9", "2617", "[0,9]^3", True),
+            ("1,2,3", "6", "193", "[0,6]^3", False),
+            ("2,3,4", "12", "46955", "[0,12]^3", True),
         ),
         ids=("2-3-3", "1-2-3", "2-3-4"),
     )
-    def test_per_coordinate_thresholds_certify(self, capsys, ks, size, nodes, box):
+    def test_per_coordinate_thresholds_certify(self, capsys, ks, size, nodes, box, in_readme):
         code, out, _ = run_cli(
             capsys, "search", "--ks", ks, "--w", "3", "--deterministic",
             "--format", "records",
@@ -166,6 +167,13 @@ class TestSearchCommand:
         rec = records(out)
         assert rec["exhaustive"] == "yes"
         assert (rec["best_size"], rec["nodes"], rec["box"]) == (size, nodes, box)
+        if in_readme:
+            # README quotes this run as "--ks <ks> ... certifies <size> in
+            # <nodes>", the nodes with thousands separators.
+            text = " ".join(TestReadmeExamples.README.read_text().split())
+            quoted = re.search(rf"--ks {ks}\b.*? certifies (\d+) in ([\d,]+)", text)
+            assert quoted, ks
+            assert (quoted[1], quoted[2]) == (rec["best_size"], f"{int(rec['nodes']):,}")
 
     def test_free_search_known_value(self, capsys):
         code, out, _ = run_cli(

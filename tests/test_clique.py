@@ -113,11 +113,17 @@ def random_instance(rng, max_n=14):
     return n, adj_from_edges(n, edges), covers
 
 
-def support_filter(adj, cand, masks):
-    """The candidates that lie in every mask or next to one of its candidates."""
+def support_filter(adj, cand, masks, one_pass=False):
+    """The candidates left when each mask in turn keeps those that lie in
+    it or next to one of its candidates still kept.
+
+    The engine walks its pending covers from the highest index down, so
+    callers pass the masks in that order.  With `one_pass` each mask's
+    candidates come from `cand` itself, so the order does not matter.
+    """
     keep = cand
     for m in masks:
-        hit = m & cand
+        hit = m & (cand if one_pass else keep)
         reach = hit
         for u in range(len(adj)):
             if hit >> u & 1:
@@ -128,14 +134,16 @@ def support_filter(adj, cand, masks):
 
 def reference_max_clique(adj, n, roots, initial, covers):
     """The engine's branch and bound, with its forced vertices and
-    support filter, but every node records all its candidates' colours.
+    sequential support filter, but every node records all its
+    candidates' colours.
     The engine records only the vertices that can branch, which must
     leave (size, members, nodes) exactly the same.
     """
     member = [sum(1 << j for j, m in enumerate(covers) if m >> v & 1) for v in range(n)]
 
     def masks(bits):
-        return [m for j, m in enumerate(covers) if bits >> j & 1]
+        # From the highest cover index down, the engine's order.
+        return [covers[j] for j in range(len(covers) - 1, -1, -1) if bits >> j & 1]
 
     def color_sort(cand):
         order, colors, color = [], [], 0
@@ -157,30 +165,35 @@ def reference_max_clique(adj, n, roots, initial, covers):
     def expand(depth, cand, pend):
         nonlocal best, members, nodes
         nodes += 1
-        # Forced vertices: while a pending cover holds one candidate, the
-        # first from the highest cover index, take it without a node.
-        while pend:
-            if not all(m & cand for m in masks(pend)):
-                return
-            single = [j for j in range(len(covers) - 1, -1, -1)
-                      if pend >> j & 1 and (covers[j] & cand).bit_count() == 1]
-            if not single:
+        while True:
+            # Forced vertices: while a pending cover holds one candidate,
+            # the first from the highest cover index, take it without a node.
+            while pend:
+                if not all(m & cand for m in masks(pend)):
+                    return
+                single = [j for j in range(len(covers) - 1, -1, -1)
+                          if pend >> j & 1 and (covers[j] & cand).bit_count() == 1]
+                if not single:
+                    break
+                u = (covers[single[0]] & cand).bit_length() - 1
+                stack.append(u)
+                depth += 1
+                cand &= adj[u]
+                pend &= ~member[u]
+                if not cand and not pend and depth > best:
+                    best, members = depth, tuple(sorted(stack))
+                if depth + cand.bit_count() <= best:
+                    return
+            # Support filter on the candidates the forced vertices leave;
+            # if it shrinks them, look for forced vertices again.
+            keep = support_filter(adj, cand, masks(pend))
+            if keep == cand:
                 break
-            u = (covers[single[0]] & cand).bit_length() - 1
-            stack.append(u)
-            depth += 1
-            cand &= adj[u]
-            pend &= ~member[u]
-            if not cand and not pend and depth > best:
-                best, members = depth, tuple(sorted(stack))
-            if depth + cand.bit_count() <= best:
-                return
-        # Support filter, once, on the candidates the forced vertices leave.
-        keep = support_filter(adj, cand, masks(pend))
-        if keep != cand:
             cand = keep
             if depth + cand.bit_count() <= best or not all(m & cand for m in masks(pend)):
                 return
+            if not any((m & cand).bit_count() == 1 for m in masks(pend)):
+                break
         order, colors = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= best:
@@ -237,9 +250,10 @@ def reference_search(
     """The engine's whole contract in its mirror image, from the least vertex up.
 
     Root i explores the cliques whose least vertex is i.  Every node
-    first takes its forced vertices, then applies the support filter,
-    then colours all its candidates, each class taking the least vertex
-    left.
+    first takes its forced vertices, then applies the support filter
+    (back to the forced vertices while a shrinking filter leaves a cover
+    with one candidate), then colours all its candidates, each class
+    taking the least vertex left.
     Covers are sets of indices; the count cut, the recording rule and
     both limits follow the module docstring.  Returns (size, members,
     nodes, truncated).
@@ -292,30 +306,37 @@ def reference_search(
         if node_limit is not None and nodes >= node_limit:
             raise Stop(True)
         nodes += 1
-        # Forced vertices: while a pending cover holds one candidate, the
-        # first from the highest cover index, take it without a node.
-        while pend:
-            if not meets(pend, cand):
-                return
-            single = [j for j in sorted(pend, reverse=True) if (covers[j] & cand).bit_count() == 1]
-            if not single:
+        while True:
+            # Forced vertices: while a pending cover holds one candidate,
+            # the first from the highest cover index, take it without a node.
+            while pend:
+                if not meets(pend, cand):
+                    return
+                single = [j for j in sorted(pend, reverse=True)
+                          if (covers[j] & cand).bit_count() == 1]
+                if not single:
+                    break
+                u = (covers[single[0]] & cand).bit_length() - 1
+                stack.append(u)
+                depth += 1
+                cand &= adj[u]
+                met = met | member[u]
+                pend = (pend | req[u]) - met
+                if not pend and depth > best and (not cand or len(met) < k):
+                    record(depth)
+                if depth + cand.bit_count() <= best:
+                    return
+            # Support filter on the candidates the forced vertices leave,
+            # highest cover index first; if it shrinks them, look for
+            # forced vertices again.
+            keep = support_filter(adj, cand, [covers[j] for j in sorted(pend, reverse=True)])
+            if keep == cand:
                 break
-            u = (covers[single[0]] & cand).bit_length() - 1
-            stack.append(u)
-            depth += 1
-            cand &= adj[u]
-            met = met | member[u]
-            pend = (pend | req[u]) - met
-            if not pend and depth > best and (not cand or len(met) < k):
-                record(depth)
-            if depth + cand.bit_count() <= best:
-                return
-        # Support filter, once, on the candidates the forced vertices leave.
-        keep = support_filter(adj, cand, [covers[j] for j in pend])
-        if keep != cand:
             cand = keep
             if depth + cand.bit_count() <= best or not meets(pend, cand):
                 return
+            if not any((covers[j] & cand).bit_count() == 1 for j in pend):
+                break
         need = max((len(pend & c) for c in classes), default=0)
         order, colors = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
@@ -679,6 +700,35 @@ class TestSupportFilter:
                 kept_initial += 1
                 assert res.size == initial
         assert improved > 100 and kept_initial > 20 and stopped > 20
+
+    def test_sequential_filter_is_sound_and_refines_one_pass(self):
+        # On the same level-shaped instances, with random candidates and
+        # pending covers: every clique inside cand that meets all pending
+        # covers survives the sequential filter, and the sequential filter
+        # keeps nothing the one-pass filter drops.
+        rng = random.Random(1818)
+        cliques = stronger = 0
+        for case in range(300):
+            n = rng.randrange(1, 15)
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            adj = adj_from_edges(n, edges)
+            covers, _ = random_groups(rng, n)
+            cand = sum(1 << v for v in range(n) if rng.random() < 0.7)
+            masks = [covers[j] for j in range(len(covers) - 1, -1, -1) if rng.random() < 0.5]
+            keep = support_filter(adj, cand, masks)
+            once = support_filter(adj, cand, masks, one_pass=True)
+            assert not keep & ~once, case
+            stronger += keep != once
+            sub = cand
+            while sub:
+                members = [v for v in range(n) if sub >> v & 1]
+                clique = all(adj[a] >> b & 1 for a, b in itertools.combinations(members, 2))
+                if clique and all(m & sub for m in masks):
+                    cliques += 1
+                    assert not sub & ~keep, case
+                sub = (sub - 1) & cand
+        assert cliques > 1000 and stronger > 10
 
 
 class TestParallel:

@@ -94,6 +94,13 @@ class TestBoxes:
             SearchBox((3, -1))
         with pytest.raises(ValueError):
             SearchBox(())
+        # Truncating 2.7 would search [0,2]x[0,3]x[0,3], not the box asked for.
+        for limits in ((2.7, 3, 3), (3, 0.5), (float("nan"), 3), (float("inf"),)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                SearchBox(limits)
+        box = SearchBox((3.0, 3, 3))
+        assert box.limits == (3, 3, 3) and all(type(x) is int for x in box.limits)
+        assert box == SearchBox((3, 3, 3)) and str(box) == "[0,3]^3"
 
     def test_compression_box(self):
         b = compression_box(3, 3, 10)
@@ -182,7 +189,7 @@ class TestExistsFamily:
         # equal: the same search, the same global verdict.
         res = exists_family(3, 3, 10, box=SearchBox((9, 9, 9)))
         assert res.found is False and res.exhaustive and not res.truncated
-        assert res.best_size == 9 and res.nodes == 15_577
+        assert res.best_size == 9 and res.nodes == 13_547
         # [0,2]^2 holds f(2,2) = 2 and is complete for size 3, so its
         # maximum is global and refutes every larger target.
         res = exists_family(2, 2, 5, box=SearchBox((2, 2)))
@@ -305,11 +312,12 @@ class TestExistsFamily:
     def test_zero_cover_prunes_f33_refutation(self):
         # Without covers this refutation takes 399,547 nodes, with zero
         # covers alone 76,111; level covers and the count cut take 37,266,
-        # forced vertices 34,641, and the support filter 15,577.
+        # forced vertices 34,641, the one-pass support filter 15,577, and
+        # the sequential one 13,547.
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes == 15_577
+        assert res.nodes == 13_547
 
     def test_default_box_is_compression_box(self):
         # With no box given, target 10 searches the compression box
@@ -320,7 +328,7 @@ class TestExistsFamily:
         assert verify(res.witness, 3).ok
         assert str(res.box) == "[0,9]^3"
         assert res.box.complete_for == 10
-        assert res.nodes == 15_577
+        assert res.nodes == 13_547
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -432,7 +440,7 @@ class TestMaxFamily:
         # The node count pins every branching decision of the engine.
         res = max_family_in_box(2, SearchBox((4,) * 4))
         assert res.best_size == 8 and not res.truncated
-        assert res.nodes == 42_274
+        assert res.nodes == 40_891
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
@@ -532,8 +540,8 @@ class TestLevelCovers:
         # keep zero covers.
         res = exists_family((2, 3, 3), 3, 6)
         assert res.found and str(res.box) == "[0,5]^3"
-        assert res.nodes == 15
-        assert ranked_max_family_size(3, 4).nodes == 500
+        assert res.nodes == 14
+        assert ranked_max_family_size(3, 4).nodes == 489
 
 
 class TestRankedSearch:
@@ -565,7 +573,7 @@ class TestRankedSearch:
         # The seed is never beaten, so every root refutes the same bound
         # whatever the schedule.  Unseeded, (2,6) took 23,156 nodes on one
         # worker and 23,253 on two.
-        for (k, w), nodes in (((3, 4), 500), ((2, 5), 184)):
+        for (k, w), nodes in (((3, 4), 489), ((2, 5), 167)):
             for workers in (1, 2):
                 res = ranked_max_family_size(k, w, workers=workers)
                 assert res.nodes == nodes and res.exhaustive, (k, w, workers)

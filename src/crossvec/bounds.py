@@ -14,9 +14,10 @@ than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .core import Family, Vector, _nondecreasing_thresholds, verify
+from .core import Family, Vector, threshold_seq, verify
 
 
 def _check_positive(name: str, value: int, minimum: int = 1) -> None:
@@ -182,25 +183,25 @@ def _is_geometric(ks: tuple[int, ...]) -> bool:
 
 
 def generalized_bounds(ks) -> BoundsReport:
-    """Bounds for per-coordinate thresholds k1 <= ... <= kw.
+    """Bounds for per-coordinate thresholds, in any order.
 
     The product of all thresholds except the smallest is realized by
     generalized_product_family, and the full product is an upper bound.
-    When k1 = 1 the two meet; so do they on the doubling pattern
+    When the smallest threshold is 1 the two meet; so do they when the
+    sorted thresholds follow the doubling pattern
     (k, k, 2k, ..., 2^(w-2) k), where the lower bound is known to be
-    exact.  ks must be a non-empty, positive, nondecreasing sequence.
+    exact.  ks must be a non-empty sequence of positive thresholds; the
+    report keeps their order.
     """
-    ks = _nondecreasing_thresholds(ks)
-    lower = 1
-    for ki in ks[1:]:
-        lower *= ki
-    upper = lower * ks[0]
+    ks = threshold_seq(ks)
+    upper = math.prod(ks)
+    lower = upper // min(ks)
     candidates: list[tuple[str, int]] = [("product-all", upper)]
     exact = False
-    if _is_geometric(ks):
+    if _is_geometric(tuple(sorted(ks))):
         candidates.append(("geometric-exact", lower))
         exact = True
-    if ks[0] == 1:
+    if min(ks) == 1:
         exact = True
     return BoundsReport(
         w=len(ks),

@@ -11,8 +11,7 @@ query came back negative; 2 usage errors or malformed input files;
 
 `search --box` certifies globally (`exhaustive yes`) whenever the box
 contains [0, best]^w, as the default compression box does.  `--ks`
-takes positive thresholds in any order, except where the library needs
-them nondecreasing (`bound`, `construct --kind genproduct`).
+takes positive thresholds in any order in every subcommand.
 
 `--format records` (every subcommand but `construct`, which writes a
 family file) emits tab-separated key/value lines with the same numeric

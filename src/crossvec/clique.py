@@ -32,15 +32,16 @@ not meet yet (`pend`); adding v gives
 pend' = (pend | requires[v]) & ~(met | member[v]), where member[v] is
 the set of covers that hold v.  A branch is cut as soon as a pending
 cover is disjoint from the candidate set, since no extension could then
-meet it.  A node tests each child's pending covers before it calls the
-child: first the cover that last cut one of its children (the hot
-cover), then the others from the top bit down; the test is
-all-or-nothing, so the order changes only its cost.  Removing vertex v
-from the candidates can only empty masks that contain v, so the
-branching loop re-checks just those.  A clique is recorded when it has
-no candidates left, and also earlier when it has no pending cover but
-does not meet every cover: an extension could then require a cover it
-cannot meet, so the largest qualifying clique need not be maximal.
+meet it.  Each node, the roots' included, opens with one walk over its
+pending covers from the top bit down: a cover with no candidate ends
+the node before it is counted, and otherwise the walk notes a cover
+with a single candidate (below).  Removing vertex v from the candidates
+can only empty masks that contain v, so the branching loop re-checks
+just those and ends the node when one has emptied.  A clique is
+recorded when it has no candidates left, and also earlier when it has
+no pending cover but does not meet every cover: an extension could then
+require a cover it cannot meet, so the largest qualifying clique need
+not be maximal.
 Without `requires` a clique with no pending cover meets every cover,
 and only the leaves are recorded.
 
@@ -64,19 +65,22 @@ scans the pending covers again from the top bit down, for one that has
 lost its last candidate (a cut) or for the next forced vertex.  The
 cliques skipped are exactly those that miss the cover, none of which
 could be recorded, so the search stays exact.  A node is counted once,
-when it starts, and its forced vertices add none.  The child test above
-notes a pending cover with a single candidate as it goes, so a child
-starts with its first forced vertex in hand.  Which cover is taken
-first does not matter: a forced vertex stays forced after another is
+after its entry walk, and its forced vertices add none; the walk hands
+it its first forced vertex.  Which single cover is taken first changes
+neither the result nor the node count.  Forcing is unit propagation,
+and it is confluent: a forced vertex stays forced after another is
 pushed unless the two are not adjacent, and then either order ends in
-a cut.  The rule composes with the rest.  A forced vertex is a
-candidate, so it lies below the root and the root stays the clique's
-largest vertex.  The count cut and the colour bound (below) are taken
-after the forced vertices, at the depth they reach.  Every clique the
-node pushes, forced or branched, goes through the recording rule, and
-every clique the forced rule skips misses a pending cover and never
-qualifies; so the recorded sizes, and with them `initial`, `stop_at`
-and the workers' merge, are those of the search without the rule.
+a cut; so every order reaches the same cut or the same set of forced
+vertices.  A return on the size check before that fixpoint excludes a
+record at it, since depth + |cand| only falls as vertices are forced.
+The rule composes with the rest.  A forced vertex is a candidate, so it
+lies below the root and the root stays the clique's largest vertex.
+The count cut and the colour bound (below) are taken after the forced
+vertices, at the depth they reach.  Every clique the node pushes,
+forced or branched, goes through the recording rule, and every clique
+the forced rule skips misses a pending cover and never qualifies; so
+the recorded sizes, and with them `initial`, `stop_at` and the
+workers' merge, are those of the search without the rule.
 
 Support filter.  After its forced vertices a node with pending covers
 drops every candidate that no clique recorded below it can hold.  Such
@@ -244,17 +248,28 @@ class _Search:
         if self.stop_at is not None and size >= self.stop_at:
             raise _TargetReached
 
-    def _expand(self, depth, cand, met, pend, single):
-        # Invariant: the stack holds `depth` vertices, every cover in the
-        # bit set `pend` (required by the stack, not met by it) meets cand,
-        # and `single` is 0 or the bit of a candidate that is alone in one
-        # of those covers.  Forced vertices stay on the stack; the caller
-        # pops them.
+    def _expand(self, depth, cand, met, pend):
+        # The stack holds `depth` vertices, cand is not empty and `pend` is
+        # the bit set of covers the stack requires but does not meet.
+        # Forced vertices stay on the stack; the caller pops them.
+        covers = self.covers
+        # Walk every pending cover from the top bit down: a cover with no
+        # candidate cuts the node before it is counted, and one with a
+        # single candidate gives the first forced vertex.
+        single = 0
+        bits = pend
+        while bits:
+            b = bits.bit_length()
+            hit = covers[b] & cand
+            if not hit & (hit - 1):
+                if not hit:
+                    return
+                single = hit
+            bits ^= 1 << (b - 1)
         rows = self.rows
         member = self.member
         requires = self.requires
         all_covers = self.all_covers
-        covers = self.covers
         stack = self.stack
         # Refuse a node before counting it, so nodes never exceeds the limit.
         if self.node_limit is not None and self.nodes >= self.node_limit:
@@ -351,7 +366,6 @@ class _Search:
                 ends.append(len(order))
             left &= nb
         # Branch from the highest colour down, the last vertex of a class first.
-        hot = 0  # the bit of the cover that last cut a child here
         for i in range(len(ends) - 1, 0, -1):
             for q in reversed(order[ends[i - 1] : ends[i]]):
                 if depth + color <= self.best_size:
@@ -367,22 +381,7 @@ class _Search:
                 ):
                     self._record(depth + 1)
                 if new_cand:
-                    # Test the hot cover first, then the rest from the top
-                    # bit down, noting a cover with a single candidate.
-                    bits = rest
-                    b = hot.bit_length() if bits & hot else bits.bit_length()
-                    single = 0
-                    while bits:
-                        hit = covers[b] & new_cand
-                        if not hit & (hit - 1):
-                            if not hit:
-                                hot = 1 << (b - 1)
-                                break
-                            single = hit
-                        bits ^= 1 << (b - 1)
-                        b = bits.bit_length()
-                    else:
-                        self._expand(depth + 1, new_cand, new_met, rest, single)
+                    self._expand(depth + 1, new_cand, new_met, rest)
                 del stack[depth:]
                 cand ^= 1 << (q - 1)
                 # Only the pending covers that contain the vertex can have emptied.
@@ -407,10 +406,6 @@ class _Search:
                     continue
                 met = self.member[i + 1]
                 pend = self.requires[i + 1] & ~met
-                hits = [m & cand for j, m in enumerate(self.covers[1:]) if pend >> j & 1]
-                if not all(hits):
-                    continue
-                single = next((h for h in hits if not h & (h - 1)), 0)
                 self.stack.append(i + 1)
                 if (
                     not pend
@@ -419,7 +414,7 @@ class _Search:
                 ):
                     self._record(1)
                 if cand:
-                    self._expand(1, cand, met, pend, single)
+                    self._expand(1, cand, met, pend)
                 self.stack.clear()
         except _TargetReached:
             self.stack.clear()

@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from typing import Sequence
 
-from .core import Family, Vector, _nondecreasing_thresholds, verify
+from .core import Family, Vector, threshold_seq, verify
 
 
 def _check_k_w(k: int, w: int, min_k: int = 1, min_w: int = 1) -> None:
@@ -214,18 +214,19 @@ def weak_compression_family(k: int) -> Family:
 
 
 def generalized_product_family(ks) -> Family:
-    """Rank-0 box family for per-coordinate thresholds, size ks[2]*...*ks[w].
+    """Rank-0 box family for per-coordinate thresholds, size prod(ks) / min(ks).
 
-    Coordinates 2..w are free in [0, ks[i]-1] and coordinate 1 balances
-    the rank to 0.  Differences on the free coordinates never reach the
-    local threshold, so both directions of a crossing would have to be
-    witnessed on coordinate 1 at once, which is impossible.
+    The first coordinate c with the least threshold balances the rank to
+    0, and every other coordinate i is free in [0, ks[i]-1].  Differences
+    on the free coordinates never reach the local threshold, so both
+    directions of a crossing would have to be witnessed on coordinate c
+    at once, which is impossible.
 
-    ks must be a non-empty, positive, nondecreasing sequence; the size
-    realizes the product of all thresholds except the smallest.
+    ks must be a non-empty sequence of positive thresholds, in any order.
     """
-    ks = _nondecreasing_thresholds(ks)
+    ks = threshold_seq(ks)
+    c = ks.index(min(ks))
     vectors = []
-    for tail in itertools.product(*(range(ki) for ki in ks[1:])):
-        vectors.append((-sum(tail),) + tail)
+    for free in itertools.product(*(range(ki) for ki in ks[:c] + ks[c + 1 :])):
+        vectors.append(free[:c] + (-sum(free),) + free[c:])
     return Family(len(ks), vectors)

@@ -154,14 +154,18 @@ class Family:
         return f"Family(width={self._width}, size={len(self._vectors)})"
 
 
-def threshold_seq(ks, width: int) -> tuple[int, ...]:
+def threshold_seq(ks, width: int | None = None) -> tuple[int, ...]:
     """Coerce an int or a sequence of ints to per-coordinate thresholds.
 
     A bare int is taken as the uniform threshold.  A sequence need only
     be positive, in any order.  Anything else, such as a bare bool or
-    float, raises ValueError.
+    float, raises ValueError.  Without `width` the sequence sets the
+    width, so a bare int, which has none, and an empty sequence raise
+    ValueError.
     """
     if isinstance(ks, numbers.Integral) and not isinstance(ks, bool):
+        if width is None:
+            raise ValueError(f"thresholds must be a sequence of ints, got {ks!r}")
         seq = (int(ks),) * width
     else:
         try:
@@ -170,24 +174,14 @@ def threshold_seq(ks, width: int) -> tuple[int, ...]:
             raise ValueError(
                 f"thresholds must be an int or a sequence of ints, got {ks!r}"
             ) from None
-    if len(seq) != width:
+    if width is None:
+        if not seq:
+            raise ValueError("thresholds must be non-empty")
+    elif len(seq) != width:
         raise ValueError(f"thresholds have width {len(seq)}, expected {width}")
     for k in seq:
         if k < 1:
             raise ValueError(f"thresholds must be >= 1, got {k}")
-    return seq
-
-
-def _nondecreasing_thresholds(ks) -> tuple[int, ...]:
-    # A non-empty, positive, nondecreasing sequence, as the generalized
-    # product family and its bounds take; a bare int has no width.
-    try:
-        width = len(ks)
-    except TypeError:
-        raise ValueError(f"thresholds must be a sequence of ints, got {ks!r}") from None
-    seq = threshold_seq(ks, width)
-    if not seq or seq != tuple(sorted(seq)):
-        raise ValueError(f"thresholds must be non-empty and nondecreasing, got {seq}")
     return seq
 
 

@@ -175,7 +175,8 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
-# max_clique is unused here but stays importable: perfbench wraps both.
+# max_clique is unused here but stays importable: perfbench wraps both
+# (tests/test_source.py checks every attribute it wraps).
 from .clique import max_clique, max_clique_parallel  # noqa: F401
 from .constructions import generalized_product_family, product_family
 from .core import Family, Vector, _prefix_masks, threshold_seq, verify
@@ -267,16 +268,25 @@ class SearchBox:
         return "x".join(f"[0,{x}]" for x in self.limits)
 
 
+def _target_size(m) -> int:
+    # Checked as SearchBox checks its limits: 4.0 is kept as 4, 4.5 refused.
+    if m % 1:
+        raise ValueError(f"target size must be a whole number, got {m}")
+    if m < 1:
+        raise ValueError(f"target size must be >= 1, got {m}")
+    return int(m)
+
+
 def compression_box(ks, w: int, m: int) -> SearchBox:
     """The box [0, m-1]^w, complete for size m under any thresholds.
 
     `ks`, an int (a uniform threshold) or one threshold per coordinate,
-    is only checked (module docstring, "Box completeness").
+    is only checked (module docstring, "Box completeness").  A target m
+    that is not a whole number raises ValueError; an integral float is
+    kept as the int it names.
     """
     threshold_seq(ks, w)
-    if m < 1:
-        raise ValueError(f"target size must be >= 1, got {m}")
-    return SearchBox((m - 1,) * w)
+    return SearchBox((_target_size(m) - 1,) * w)
 
 
 @dataclass
@@ -610,8 +620,7 @@ def exists_family(
     if w < 1:
         raise ValueError(f"w must be >= 1, got {w}")
     seq = threshold_seq(ks, w)
-    if m < 1:
-        raise ValueError(f"target size must be >= 1, got {m}")
+    m = _target_size(m)
     if box is None:
         box = compression_box(seq, w, m)
     if box.width != w:
@@ -669,12 +678,7 @@ def max_family_size(
     seq = threshold_seq(ks, w)
     limits = limits or SearchLimits()
     start = time.monotonic()
-    # The construction wants nondecreasing thresholds: build it on the
-    # stably sorted ones, then put each coordinate back in place.
-    order = sorted(range(w), key=seq.__getitem__)
-    seed = generalized_product_family([seq[i] for i in order])
-    back = [order.index(i) for i in range(w)]
-    witness = normalize(Family(w, [[v[j] for j in back] for v in seed]), seq)
+    witness = normalize(generalized_product_family(seq), seq)
     best = len(witness)
     upper = math.prod(seq)
     nodes = 0

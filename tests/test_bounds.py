@@ -138,10 +138,18 @@ class TestGeneralizedBounds:
             assert ("geometric-exact", value) in rep.candidates
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            generalized_bounds((3, 2))
+        # Any order gives the values of the sorted tuple; ks stays as given.
+        for ks in ((3, 2), (4, 2, 2), (2, 4, 2), (5, 3, 1)):
+            rep, ref = generalized_bounds(ks), generalized_bounds(sorted(ks))
+            assert rep.ks == ks and rep.w == len(ks)
+            assert (rep.lower, rep.upper, rep.exact, rep.candidates) == (
+                ref.lower, ref.upper, ref.exact, ref.candidates,
+            )
+        assert generalized_bounds((4, 2, 2)).exact  # the doubling pattern, unsorted
         with pytest.raises(ValueError, match="sequence"):
             generalized_bounds(5)  # a bare int has no width
+        with pytest.raises(ValueError, match="non-empty"):
+            generalized_bounds(())
 
 
 class TestResidueSignature:

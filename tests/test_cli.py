@@ -260,8 +260,6 @@ class TestSearchCommand:
             capsys, "search", "--k", "2", "--w", "3", "--ranked", "--target", "4"
         )
         assert code == 2 and "--ranked" in err
-        code, _, err = run_cli(capsys, "bound", "--ks", "3,2")
-        assert code == 2 and "nondecreasing" in err
         code, _, err = run_cli(
             capsys, "search", "--k", "2", "--w", "3", "--box", "4,4"
         )
@@ -278,8 +276,20 @@ class TestSearchCommand:
         fam.write_text("w 2\n0 2\n1 1\n2 0\n")
         code, out, _ = run_cli(capsys, "verify", "--input", str(fam), "--ks", "3,2")
         assert code == 0 and "verified" in out
-        code, _, err = run_cli(capsys, "construct", "--kind", "genproduct", "--ks", "3,2")
-        assert code == 2 and "nondecreasing" in err
+        code, out, _ = run_cli(capsys, "construct", "--kind", "genproduct", "--ks", "3,2")
+        assert code == 0
+        fam.write_text(out)
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", str(fam), "--ks", "3,2", "--format", "records"
+        )
+        assert code == 0 and records(out)["size"] == "3"
+        # bound reports the thresholds as given, with the values of any order.
+        code, out, _ = run_cli(capsys, "bound", "--ks", "3,2", "--format", "records")
+        code23, out23, _ = run_cli(capsys, "bound", "--ks", "2,3", "--format", "records")
+        assert code == code23 == 0
+        rec, rec23 = records(out), records(out23)
+        assert rec.pop("ks") == "3,2" and rec23.pop("ks") == "2,3"
+        assert rec == rec23 and (rec["lower"], rec["upper"]) == ("3", "6")
 
     def test_width_zero_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "search", "--k", "2", "--w", "0")

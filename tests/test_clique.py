@@ -745,13 +745,23 @@ class TestParallel:
             assert not par.truncated
 
 
+def assert_mirrors(n, adj, covers=(), requires=None, roots=None, initial=0, stop_at=None,
+                   node_limit=None):
+    """The engine on the mirrored instance makes every decision of the
+    least-vertex search: same size, members, nodes and truncation."""
+    madj, mcovers, mrequires, mroots = mirror(n, adj, covers, requires, roots)
+    res = max_clique(madj, mroots, initial, stop_at, node_limit, None, mcovers, mrequires)
+    least_roots = range(n) if roots is None else roots
+    expect = reference_search(adj, n, least_roots, initial, stop_at, node_limit, covers, requires)
+    assert (res.size, unmirror(n, res.members), res.nodes, res.truncated) == expect
+
+
 class TestMirror:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data())
     def test_engine_mirrors_least_vertex_search(self, data):
-        # The engine on the mirrored instance makes every decision of the
-        # least-vertex search: same size, members, nodes and truncation,
-        # under every control it takes.
+        # The engine mirrors the least-vertex search under every control
+        # it takes.
         n = data.draw(st.integers(0, 30), label="n")
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
         density = data.draw(st.sampled_from((0.3, 0.5, 0.7, 0.9)), label="density")
@@ -776,10 +786,30 @@ class TestMirror:
         initial = data.draw(st.integers(0, 4), label="initial")
         stop_at = data.draw(st.none() | st.integers(1, 8), label="stop_at")
         node_limit = data.draw(st.none() | st.integers(0, 300), label="node_limit")
-        madj, mcovers, mrequires, mroots = mirror(n, adj, covers, requires, roots)
-        res = max_clique(madj, mroots, initial, stop_at, node_limit, None, mcovers, mrequires)
-        least_roots = range(n) if roots is None else roots
-        expect = reference_search(
-            adj, n, least_roots, initial, stop_at, node_limit, covers, requires
-        )
-        assert (res.size, unmirror(n, res.members), res.nodes, res.truncated) == expect
+        assert_mirrors(n, adj, covers, requires, roots, initial, stop_at, node_limit)
+
+    def test_level_covers_at_scale(self):
+        # Whole searches over deep level covers on 30 to 50 vertices, where
+        # several pending covers interact: the order of the entry walk,
+        # the sequential filter and the return to forced vertices each
+        # move the node count on some of these instances.
+        rng = random.Random(1919)
+        for _ in range(100):
+            n = rng.randrange(30, 51)
+            density = rng.choice((0.6, 0.8))
+            adj = adj_from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            )
+            covers, requires = random_levels(rng, n, rng.randrange(3, 9))
+            assert_mirrors(n, adj, covers, requires)
+
+    def test_root_with_an_empty_required_cover_costs_no_node(self):
+        # Root 2 requires the cover {2}, which it meets, and the cover {3},
+        # which holds no candidate below it: its entry walk cuts it before
+        # it is counted.  Root 1 requires nothing and spends one node.
+        adj = adj_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        covers = [0b0100, 0b1000]
+        res = max_clique(adj, [2], covers=covers, requires=[0, 0, 0b11, 0b10])
+        assert (res.size, res.members, res.nodes) == (0, (), 0)
+        res = max_clique(adj, [2, 1], covers=covers, requires=[0, 0, 0b11, 0b10])
+        assert (res.size, res.members, res.nodes) == (2, (0, 1), 1)

@@ -217,9 +217,13 @@ class TestGeneralizedProduct:
     def test_frozen_trivial(self):
         assert generalized_product_family((1, 1)).vectors == ((0, 0),)
 
-    def test_thresholds_must_be_nondecreasing(self):
-        with pytest.raises(ValueError):
-            generalized_product_family((3, 2))
+    def test_thresholds_in_any_order(self):
+        # The first coordinate with the least threshold balances the rank.
+        assert generalized_product_family((3, 2)).vectors == ((0, 0), (1, -1), (2, -2))
+        for ks in ((3, 2, 2), (4, 2, 3), (3, 1, 2, 1)):
+            f = generalized_product_family(ks)
+            assert len(f) == math.prod(ks) // min(ks)
+            assert verify(f, ks).ok and f.rank_values() == frozenset({0})
         with pytest.raises(ValueError):
             generalized_product_family((0, 1))
         with pytest.raises(ValueError, match="sequence"):

@@ -102,6 +102,16 @@ class TestBoxes:
         assert box.limits == (3, 3, 3) and all(type(x) is int for x in box.limits)
         assert box == SearchBox((3, 3, 3)) and str(box) == "[0,3]^3"
 
+    def test_fractional_target(self):
+        # A fractional target names the target, not a box limit m - 1.
+        for call in (lambda: exists_family(2, 3, 4.5), lambda: compression_box(2, 3, 4.5)):
+            with pytest.raises(ValueError, match="target size must be a whole number, got 4.5"):
+                call()
+        res = exists_family(2, 3, 4.0)
+        assert res.target == 4 and type(res.target) is int and res.found
+        box = compression_box(2, 3, 4.0)
+        assert box == SearchBox((3, 3, 3)) and type(box.limits[0]) is int
+
     def test_compression_box(self):
         b = compression_box(3, 3, 10)
         assert b.limits == (9, 9, 9)

@@ -1,6 +1,7 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -64,3 +65,27 @@ def test_public_names_resolve_and_are_sorted():
     assert not missing, missing
     assert list(crossvec.__all__) == sorted(crossvec.__all__)
     assert len(set(crossvec.__all__)) == len(crossvec.__all__)
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark's tracer wraps these module attributes by name and
+    # reads a graph's size from it; read its list without importing it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    boundaries = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["BOUNDARIES"]
+    )
+    assert boundaries
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in boundaries
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, missing
+    from crossvec.search import SearchBox, build_compatibility_graph
+
+    graph = build_compatibility_graph(2, SearchBox((2, 2)))
+    assert graph.n == 9 and graph.edge_count() == sum(map(int.bit_count, graph.adj)) // 2

@@ -14,11 +14,17 @@ q = x.bit_length() is vertex q - 1.  Branching at the top level is on
 the maximum vertex: root i explores exactly the cliques whose largest
 vertex (in index order) is i, and the default roots are n-1 down to 0.
 A caller may therefore restrict the roots to any set R that is
-guaranteed to contain the largest vertex of at least one maximum clique
-image under symmetries of the graph; the search stays exact.  The
-engine is the mirror image (i -> n-1-i) of one that branches from the
-least vertex: on the mirrored instance it takes the same branches, in
-the same order, and counts the same nodes.  `search` lists its lattice
+guaranteed to contain the largest vertex i of a canonical image: among
+the images of some maximum qualifying clique (below) under a group G of
+symmetries of the graph that map the covers and requires onto
+themselves, one whose largest vertex is largest.  The search stays
+exact.  Every element of G that fixes i keeps i the largest vertex of
+the image it maps the canonical one to, so the canonical image's other
+members have their whole orbit under i's stabilizer below i; a caller
+may restrict root i to those candidates as well ("Root symmetry",
+below).  The engine is the mirror image (i -> n-1-i) of one that
+branches from the least vertex: on the mirrored instance it takes the
+same branches, in the same order, and counts the same nodes.  `search` lists its lattice
 points in decreasing lexicographic order for that reason.
 
 A caller may also pass `covers`, a sequence of vertex bitmasks, and
@@ -144,12 +150,38 @@ cand).  Apart from the count cut, the forced vertices and the support
 filter, the classes, their order and every branch taken are those of a
 full colouring.
 
+Root symmetry.  A caller may pass `symmetry`, a function that the engine
+calls with a root i and its candidates cand (the vertices below i in
+its row) once it reaches the root.  It returns None, which changes
+nothing, or a pair (core, orbit) for a group H of symmetries of the
+graph that fix i, map the covers onto covers and carry the requirements
+with them (requires[t(v)] is the image of requires[v] under t in
+H).  core, a subset of cand that is a union of H-orbits, replaces cand,
+and orbit(v) is the bit set of v's H-orbit.  The root node then, while
+its stack is i alone (no forced vertex taken), removes from cand the
+whole orbit of each vertex q it has branched on rather than q alone,
+skips a branch vertex already removed, and re-checks every pending
+cover after a removal.  This keeps the root's result, the largest
+qualifying clique that holds i and otherwise lies in core.  Take such a
+clique S.  Its images under H qualify and lie in core, so the support
+filter keeps them all, and the colouring and the count cut hold for any
+candidate set.  Let q be the first branch vertex that lies in some image
+T.  No orbit removed before q meets an image: if the orbit of an earlier
+branch vertex p met one, some image would hold p itself.  So T lies in
+cand when the root branches on q, and that branch finds a clique at
+least as large.  Below the root node, or after a forced vertex, the
+stack holds vertices H need not fix, so an orbit may hold the only
+images of a clique there: those nodes branch vertex by vertex as
+before.  Only the node count and, among cliques of one size, the witness
+found first can change.
+
 Workers > 1 splits the roots round-robin across processes.  Each worker
 finishes its share, so sizes are schedule-independent; among equal
 sizes the merged witness is the member tuple that is least once the
-indices are mirrored.  A node limit is a budget for the whole call: the
-workers get shares of it that sum to it, so a node count never exceeds
-the limit.
+indices are mirrored.  `symmetry` is pickled into each worker, which
+calls it for its own roots.  A node limit is a budget for the whole
+call: the workers get shares of it that sum to it, so a node count
+never exceeds the limit.
 """
 
 from __future__ import annotations
@@ -157,7 +189,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class _OutOfBudget(Exception):
@@ -166,6 +198,10 @@ class _OutOfBudget(Exception):
 
 class _TargetReached(Exception):
     pass
+
+
+# symmetry(root, cand) -> None or (core, orbit) (module docstring, "Root symmetry").
+Symmetry = Callable[[int, int], "tuple[int, Callable[[int], int]] | None"]
 
 
 @dataclass(frozen=True)
@@ -205,6 +241,9 @@ class _Search:
         # per-vertex table below is indexed; entry 0 of a table is never read.
         self.stack: list[int] = []
         self.stop_at: int | None = None
+        # The current root's orbit function, or None (module docstring,
+        # "Root symmetry").
+        self.orbit = None
         # rows[v + 1] is row v, and drop[v + 1] keeps the vertices below v
         # that are not its neighbours; removing a colour class by its
         # members' rows needs loop-free rows (module docstring, "Colouring").
@@ -365,11 +404,16 @@ class _Search:
                     order.append(q)
                 ends.append(len(order))
             left &= nb
+        # Only the root node, while the stack is the root alone, removes
+        # each branch's orbit (module docstring, "Root symmetry").
+        orbit = self.orbit if depth == 1 else None
         # Branch from the highest colour down, the last vertex of a class first.
         for i in range(len(ends) - 1, 0, -1):
             for q in reversed(order[ends[i - 1] : ends[i]]):
                 if depth + color <= self.best_size:
                     return
+                if orbit is not None and not cand >> (q - 1) & 1:
+                    continue  # removed with an earlier branch's orbit
                 new_cand = cand & rows[q]
                 new_met = met | member[q]
                 rest = (pend | requires[q]) & ~new_met
@@ -383,9 +427,13 @@ class _Search:
                 if new_cand:
                     self._expand(depth + 1, new_cand, new_met, rest)
                 del stack[depth:]
-                cand ^= 1 << (q - 1)
-                # Only the pending covers that contain the vertex can have emptied.
-                bits = pend & member[q]
+                if orbit is None:
+                    cand ^= 1 << (q - 1)
+                    # Only the pending covers that contain the vertex can have emptied.
+                    bits = pend & member[q]
+                else:
+                    cand &= ~orbit(q - 1)
+                    bits = pend
                 while bits:
                     b = bits.bit_length()
                     if not covers[b] & cand:
@@ -393,7 +441,7 @@ class _Search:
                     bits ^= 1 << (b - 1)
             color -= 1
 
-    def run(self, roots, initial, stop_at):
+    def run(self, roots, initial, stop_at, symmetry):
         self.best_size = initial
         self.stop_at = stop_at
         truncated = False
@@ -404,6 +452,13 @@ class _Search:
                 cand = self.rows[i + 1] & ((1 << i) - 1)
                 if 1 + cand.bit_count() <= self.best_size:
                     continue
+                self.orbit = None
+                if symmetry is not None:
+                    found = symmetry(i, cand)
+                    if found is not None:
+                        cand, self.orbit = found
+                        if 1 + cand.bit_count() <= self.best_size:
+                            continue
                 met = self.member[i + 1]
                 pend = self.requires[i + 1] & ~met
                 self.stack.append(i + 1)
@@ -447,14 +502,16 @@ def max_clique(
     time_limit: float | None = None,
     covers: Sequence[int] = (),
     requires: Sequence[int] | None = None,
+    symmetry: Symmetry | None = None,
 ) -> CliqueResult:
     """Exact maximum clique, optionally stopping once `stop_at` is hit.
 
     `initial` is an incumbent size: only cliques strictly larger are
     recorded, so a result with size == initial has empty members (no
-    improvement found).  `roots` restricts top-level branching, and
-    `covers` with `requires` restricts the recorded cliques, both as
-    described in the module docstring; None and () mean no restriction.
+    improvement found).  `roots` restricts top-level branching,
+    `covers` with `requires` restricts the recorded cliques, and
+    `symmetry` each root's candidates and branches, all as described
+    in the module docstring; None and () mean no restriction.
     A self-loop (row v holding bit v), a cover mask with a bit outside
     0..n-1, a `requires` entry that is not one bit set per vertex over
     the covers, or a root outside 0..n-1 raises ValueError; n is
@@ -462,7 +519,7 @@ def max_clique(
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     search = _Search(adj, covers, requires, node_limit, deadline)
-    return search.run(_root_list(adj, roots), initial, stop_at)
+    return search.run(_root_list(adj, roots), initial, stop_at, symmetry)
 
 
 def _worker(args):
@@ -479,13 +536,18 @@ def max_clique_parallel(
     workers: int = 1,
     covers: Sequence[int] = (),
     requires: Sequence[int] | None = None,
+    symmetry: Symmetry | None = None,
 ) -> CliqueResult:
-    """Split roots across processes; exact results merge deterministically."""
+    """Split roots across processes; exact results merge deterministically.
+
+    With several workers `symmetry` must pickle.
+    """
     root_list = _root_list(adj, roots)
     covers = tuple(covers)
     if workers <= 1 or len(root_list) <= 1:
         return max_clique(
-            adj, root_list, initial, stop_at, node_limit, time_limit, covers, requires
+            adj, root_list, initial, stop_at, node_limit, time_limit, covers, requires,
+            symmetry,
         )
     chunks = [root_list[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
@@ -494,7 +556,7 @@ def max_clique_parallel(
         (
             list(adj), c, initial, stop_at,
             None if node_limit is None else (node_limit + i) // len(chunks),
-            time_limit, covers, requires,
+            time_limit, covers, requires, symmetry,
         )
         for i, c in enumerate(chunks)
     ]

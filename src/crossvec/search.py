@@ -147,6 +147,42 @@ the translated `product_family(k, w)`, k^(w-1) vectors of one rank, as
 incumbent and witness, so slices of at most k^(w-1) points are skipped
 and the others need only refute k^(w-1) + 1.
 
+Root stabilizers.  Each root's search also uses the permutations that
+fix its root.  Take a maximum family F that the search must find (a
+gap-free one in C, or a covering one in a ranked slice), and its
+canonical image F* from "Symmetry pruning": among the images of F under
+permutations inside classes, the one whose least member u is
+lexicographically least, so u is a root.  A block of u is a maximal run
+of adjacent coordinates that share threshold, searched limit and u's
+value, and H is the group of permutations inside blocks.  H lies inside
+the class permutations and fixes u.  So every tau in H maps the graph,
+the level covers ((c, l) to (tau(c), l)) with their requirements, the
+zero covers and the rank slice onto themselves, and tau F* is again an
+image of F.  Its least member is therefore no less than u, and it holds
+tau(u) = u, so u is its least member: every other member of F* has its
+whole H-orbit lexicographically above u.  The driver passes the clique
+engine a hook that gives each root two exact cuts (the `clique`
+docstring, "Root symmetry").  Core: root u keeps only the candidates
+whose whole H-orbit lies above u.  Blocks are runs of adjacent
+coordinates, so the lexicographically least H-image of x sorts its
+values within each block, and x is dropped exactly when it equals u
+before some block and lies below u's block value on a coordinate of
+that block: a few ANDs and ORs of the level bit sets per block.  Orbits:
+the root node, while its stack is u alone, removes the H-orbit of each
+vertex it has branched on, also built from the level bit sets; this is
+exact because H fixes u and maps the core, the graph and the covers
+onto themselves.  Below the root node the stack holds vertices that H
+moves, so deeper nodes branch as before.  The cuts compose with the
+rest.  Level covers and clipping: F* is gap-free and lies in C, and H is
+taken on C's limits.  Class roots: u is the root that "Symmetry pruning"
+keeps for F*.  Zero covers and mirrored slices: H keeps ranks and zero
+covers, so F* lies in the slice that holds F, which the search
+visits.  Workers: the hook holds only the graph's points and level bit
+sets and is pickled into each worker, which prunes its own roots
+exactly as one process would.  A ranked search starts from its seed, so
+its node count still does not depend on the number of workers.  A root
+whose blocks are all single coordinates gets no cut.
+
 One driver.  Every search mode (existence, in-box maximum, the growing
 boxes of `max_family_size`, constant rank) goes through one private
 driver that treats a box as a single slice and a ranked search as the
@@ -201,7 +237,7 @@ class SearchLimits:
     exact truncation point can therefore vary with the worker count.
     Within the caps, sizes, verdicts and witnesses are
     schedule-independent; box-search node counts are not (refuting
-    f(3,3) = 10 takes 13,547 nodes on one worker, 13,587 on two).  A
+    f(3,3) = 10 takes 11,893 nodes on one worker, 11,933 on two).  A
     negative or NaN cap, or a node limit that is not a whole number,
     raises ValueError; an integral float such as 1e6 is kept as the int
     it names.  A zero time or node limit truncates.
@@ -432,6 +468,71 @@ def _roots(graph: CompatibilityGraph) -> list[int]:
     ]
 
 
+class _RootStabilizer:
+    """The clique engine's `symmetry` hook for one graph (module
+    docstring, "Root stabilizers").
+
+    For root u it returns None when every block of u is one coordinate,
+    and otherwise the candidates whose whole orbit under u's stabilizer
+    H lies above u in lexicographic order, with a function from a vertex
+    to its H-orbit.  Both come from ANDs and ORs of `levels`.
+    """
+
+    def __init__(self, ks, limits, vectors, levels):
+        # The coordinates c > 0 that share threshold and searched limit
+        # with c - 1: a block continues there when u[c] = u[c - 1].
+        keys = list(zip(ks, limits))
+        self.linked = [c for c in range(1, len(keys)) if keys[c] == keys[c - 1]]
+        self.vectors = vectors
+        self.levels = levels
+
+    def __call__(self, root: int, cand: int):
+        u = self.vectors[root]
+        joined = [c for c in self.linked if u[c] == u[c - 1]]
+        if not joined:
+            return None
+        blocks = [[0]]
+        for c in range(1, len(u)):
+            if c in joined:
+                blocks[-1].append(c)
+            else:
+                blocks.append([c])
+        levels = self.levels
+        same = -1  # the vertices equal to u before the block
+        for block in blocks:
+            a = u[block[0]]
+            if len(block) > 1 and a:
+                below = 0
+                for c in block:
+                    for x in range(a):
+                        below |= levels[c][x]
+                cand &= ~(same & below)
+            for c in block:
+                same &= levels[c][a]
+        vectors = self.vectors
+        fixed = [c for block in blocks if len(block) == 1 for c in block]
+        moved = [block for block in blocks if len(block) > 1]
+
+        def orbit(v: int) -> int:
+            # The vertices equal to v on the fixed coordinates whose values
+            # on each block permute v's.
+            x = vectors[v]
+            bits = -1
+            for c in fixed:
+                bits &= levels[c][x[c]]
+            for block in moved:
+                images = 0
+                for values in set(itertools.permutations([x[c] for c in block])):
+                    image = bits
+                    for c, y in zip(block, values):
+                        image &= levels[c][y]
+                    images |= image
+                bits = images
+            return bits
+
+        return cand, orbit
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a search operation.
@@ -565,9 +666,10 @@ def _search(
             graph = build_compatibility_graph(seq, searched, limits.memory_mb, rank, deadline)
             covers, requires = _covers(graph, levels)
             rem = _remaining(limits, start, nodes)
+            symmetry = _RootStabilizer(seq, searched.limits, graph.vectors, graph.levels)
             res = max_clique_parallel(
                 graph.adj, _roots(graph), best, target,
-                rem.node_limit, rem.time_limit, workers, covers, requires,
+                rem.node_limit, rem.time_limit, workers, covers, requires, symmetry,
             )
             nodes += res.nodes
             truncated = truncated or res.truncated

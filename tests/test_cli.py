@@ -152,7 +152,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize(
         "ks,size,nodes,box,in_readme",
         (
-            ("2,3,3", "9", "2617", "[0,9]^3", True),
+            ("2,3,3", "9", "2116", "[0,9]^3", True),
             ("1,2,3", "6", "193", "[0,6]^3", False),
             ("2,3,4", "12", "46955", "[0,12]^3", True),
         ),

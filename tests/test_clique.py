@@ -731,6 +731,120 @@ class TestSupportFilter:
         assert cliques > 1000 and stronger > 10
 
 
+def random_swaps(rng, n, count):
+    """Involutions of vertices 0..n-2, each a product of disjoint swaps;
+    vertex n-1 is fixed."""
+    swaps = []
+    for _ in range(count):
+        moved = rng.sample(range(n - 1), 2 * rng.randrange(1, (n - 1) // 2 + 1))
+        perm = list(range(n))
+        for a, b in zip(moved[::2], moved[1::2]):
+            perm[a], perm[b] = b, a
+        swaps.append(perm)
+    return swaps
+
+
+def closure(items, swaps, image):
+    """Every image of the items under the group the swaps generate."""
+    seen = set(items)
+    todo = list(seen)
+    while todo:
+        item = todo.pop()
+        for perm in swaps:
+            new = image(perm, item)
+            if new not in seen:
+                seen.add(new)
+                todo.append(new)
+    return seen
+
+
+class TestRootSymmetry:
+    def test_invariant_graphs_match_subset_dp_over_the_core(self):
+        # Graphs, covers and requires invariant under a group of vertex
+        # swaps that fix the root n-1: the root's search, with a core that
+        # is a union of orbits and the orbits removed at the root node,
+        # finds the largest qualifying clique of the root and the core.
+        rng = random.Random(2011)
+        vertex = lambda perm, v: perm[v]
+        pair = lambda perm, e: tuple(sorted((perm[e[0]], perm[e[1]])))
+        improved = removed = pruned = 0
+        for case in range(300):
+            n = rng.randrange(4, 15)
+            root = n - 1
+            swaps = random_swaps(rng, n, rng.randrange(1, 4))
+            orbits = {v: sum(1 << u for u in closure([v], swaps, vertex)) for v in range(n)}
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            adj = adj_from_edges(n, closure(edges, swaps, pair))
+            groups = set(orbits.values())
+            core = sum(g for g in groups if rng.random() < 0.8) & adj[root]
+            covers, requires = [], None
+            if rng.random() < 0.7:
+                # Each cover is a union of orbits, and requires are constant
+                # on every orbit.
+                covers = [
+                    sum(g for g in groups if rng.random() < 0.4)
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                by_orbit = {g: rng.randrange(1 << len(covers)) for g in groups}
+                requires = [by_orbit[orbits[v]] for v in range(n)]
+            initial = rng.choice((0, 0, 1, 2))
+            asked = []
+
+            def orbit(v):
+                asked.append(v)
+                return orbits[v]
+
+            def symmetry(i, cand):
+                assert i == root
+                return cand & core, orbit
+
+            res = max_clique(adj, [root], initial, covers=covers, requires=requires,
+                             symmetry=symmetry)
+            # The subset DP over the root and its core, renumbered
+            # 0..m-1 with the root on top.
+            keep = [v for v in range(n) if core >> v & 1] + [root]
+            m = len(keep)
+            sub_adj = [sum(1 << j for j, u in enumerate(keep) if adj[v] >> u & 1) for v in keep]
+            sub_covers = [sum(1 << j for j, u in enumerate(keep) if c >> u & 1) for c in covers]
+            sub_requires = [(requires or [(1 << len(covers)) - 1] * n)[v] for v in keep]
+            best = brute_max_requiring_clique(m, sub_adj, sub_covers, sub_requires, {m - 1})
+            assert res.size == max(initial, best), case
+            assert not res.truncated
+            # Only the root node removes orbits, each after one of its own
+            # branches, which skip the vertices removed before them: so
+            # no orbit is asked for twice.
+            assert len({orbits[v] for v in asked}) == len(asked), case
+            removed += any(orbits[v] & core != 1 << v for v in asked)
+            if res.members:
+                improved += 1
+                assert res.members[-1] == root and len(res.members) == res.size
+                assert not sum(1 << v for v in res.members[:-1]) & ~core, case
+                assert qualifies(adj, covers, requires or [(1 << len(covers)) - 1] * n,
+                                 res.members), case
+            plain = max_clique(adj, [root], initial, covers=covers, requires=requires,
+                               symmetry=lambda i, cand: (cand & core, lambda v: 1 << v))
+            assert plain.size == res.size, case
+            pruned += res.nodes < plain.nodes
+        assert improved > 150 and removed > 100 and pruned > 0, (improved, removed, pruned)
+
+    def test_orbit_removal_below_the_root_loses_the_maximum(self):
+        # The swaps (0 7)(1 2)(3 5) fix the root 8 and map the graph onto
+        # itself, and its two maximum cliques, {0,2,3,6,8} and
+        # {1,5,6,7,8}, onto each other.  A child of the root holds a
+        # vertex they move, so removing orbits there too would report 4.
+        edges = [
+            (0, 2), (0, 3), (0, 6), (0, 8), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+            (1, 8), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (3, 4), (3, 6), (3, 8),
+            (4, 5), (4, 8), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8),
+        ]
+        adj = adj_from_edges(9, edges)
+        perm = [7, 2, 1, 5, 4, 3, 6, 0, 8]
+        assert closure(edges, [perm], lambda p, e: tuple(sorted((p[e[0]], p[e[1]])))) == set(edges)
+        res = max_clique(adj, [8], symmetry=lambda i, cand: (cand, lambda v: 1 << v | 1 << perm[v]))
+        assert (res.size, res.members) == (5, (1, 5, 6, 7, 8))
+
+
 class TestParallel:
     def test_matches_serial_and_is_deterministic(self):
         rng = random.Random(4242)

@@ -199,7 +199,7 @@ class TestExistsFamily:
         # equal: the same search, the same global verdict.
         res = exists_family(3, 3, 10, box=SearchBox((9, 9, 9)))
         assert res.found is False and res.exhaustive and not res.truncated
-        assert res.best_size == 9 and res.nodes == 13_547
+        assert res.best_size == 9 and res.nodes == 11_893
         # [0,2]^2 holds f(2,2) = 2 and is complete for size 3, so its
         # maximum is global and refutes every larger target.
         res = exists_family(2, 2, 5, box=SearchBox((2, 2)))
@@ -322,12 +322,12 @@ class TestExistsFamily:
     def test_zero_cover_prunes_f33_refutation(self):
         # Without covers this refutation takes 399,547 nodes, with zero
         # covers alone 76,111; level covers and the count cut take 37,266,
-        # forced vertices 34,641, the one-pass support filter 15,577, and
-        # the sequential one 13,547.
+        # forced vertices 34,641, the one-pass support filter 15,577, the
+        # sequential one 13,547, and root stabilizers 11,893.
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes == 13_547
+        assert res.nodes == 11_893
 
     def test_default_box_is_compression_box(self):
         # With no box given, target 10 searches the compression box
@@ -338,7 +338,7 @@ class TestExistsFamily:
         assert verify(res.witness, 3).ok
         assert str(res.box) == "[0,9]^3"
         assert res.box.complete_for == 10
-        assert res.nodes == 13_547
+        assert res.nodes == 11_893
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -450,7 +450,7 @@ class TestMaxFamily:
         # The node count pins every branching decision of the engine.
         res = max_family_in_box(2, SearchBox((4,) * 4))
         assert res.best_size == 8 and not res.truncated
-        assert res.nodes == 40_891
+        assert res.nodes == 20_559
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
@@ -551,7 +551,7 @@ class TestLevelCovers:
         res = exists_family((2, 3, 3), 3, 6)
         assert res.found and str(res.box) == "[0,5]^3"
         assert res.nodes == 14
-        assert ranked_max_family_size(3, 4).nodes == 489
+        assert ranked_max_family_size(3, 4).nodes == 266
 
 
 class TestRankedSearch:
@@ -583,7 +583,7 @@ class TestRankedSearch:
         # The seed is never beaten, so every root refutes the same bound
         # whatever the schedule.  Unseeded, (2,6) took 23,156 nodes on one
         # worker and 23,253 on two.
-        for (k, w), nodes in (((3, 4), 489), ((2, 5), 167)):
+        for (k, w), nodes in (((3, 4), 266), ((2, 5), 87)):
             for workers in (1, 2):
                 res = ranked_max_family_size(k, w, workers=workers)
                 assert res.nodes == nodes and res.exhaustive, (k, w, workers)
@@ -611,6 +611,93 @@ class TestRankedSearch:
         assert "over the 0.0001 MiB budget" in note
         with pytest.raises(BoxTooLargeError):
             build_compatibility_graph(2, res.box, memory_mb=1e-4, rank=6)
+
+
+def stabilizer_reference(graph, root):
+    """The root's core and orbits straight from the definition: u's
+    blocks are the maximal runs of adjacent coordinates that share
+    threshold, limit and u's value, H permutes each block, the core is
+    the candidates whose every H-image is lexicographically above u, and
+    an orbit is the bit set of a vertex's H-images."""
+    u = graph.vectors[root]
+    keys = [(k, x, y) for k, x, y in zip(graph.ks, graph.box.limits, u)]
+    blocks = [list(run) for _, run in itertools.groupby(range(len(u)), keys.__getitem__)]
+    perms = []
+    for images in itertools.product(*map(itertools.permutations, blocks)):
+        perm = list(range(len(u)))
+        for block, image in zip(blocks, images):
+            for c, d in zip(block, image):
+                perm[c] = d
+        perms.append(perm)
+    if len(perms) == 1:
+        return 1, None, None
+    index = {v: i for i, v in enumerate(graph.vectors)}
+    cand = graph.adj[root] & ((1 << root) - 1)
+    core, orbits = 0, {}
+    for v in range(root):
+        if cand >> v & 1:
+            x = graph.vectors[v]
+            images = {tuple(x[d] for d in perm) for perm in perms}
+            core |= all(image > u for image in images) << v
+            orbits[v] = sum(1 << index[image] for image in images)
+    return len(perms), core, orbits
+
+
+def driver_graphs():
+    """(ks, graph, levels) for small boxes and, for a uniform k, their
+    rank slices: the graphs the search driver builds."""
+    boxes = {
+        1: [(4,)],
+        2: [(3, 3), (4, 3), (4, 4)],
+        3: [(2, 2, 2), (3, 3, 2), (2, 3, 3), (3, 3, 3)],
+        4: [(1, 1, 1, 1), (1, 2, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (3, 3, 2, 2)],
+    }
+    for w, shapes in boxes.items():
+        for ks in itertools.product((1, 2, 3), repeat=w):
+            for limits in shapes:
+                box = SearchBox(limits)
+                yield ks, build_compatibility_graph(ks, box), True
+                if len(set(ks)) == 1:
+                    for rank in range(sum(limits) // 2 + 1):
+                        yield ks, build_compatibility_graph(ks, box, rank=rank), False
+
+
+class TestRootStabilizers:
+    def test_hook_matches_definition_and_per_root_core_search(self):
+        # For every root of every small driver graph: the hook's core and
+        # orbits are those of the definition, and the root's search with
+        # the hook, which removes each root branch's orbit, finds the
+        # size of the plain search over the same core.
+        checks = nontrivial = 0
+        for ks, graph, levels in driver_graphs():
+            covers, requires = search_mod._covers(graph, levels)
+            hook = search_mod._RootStabilizer(
+                graph.ks, graph.box.limits, graph.vectors, graph.levels
+            )
+            for root in search_mod._roots(graph):
+                cand = graph.adj[root] & ((1 << root) - 1)
+                order, core, orbits = stabilizer_reference(graph, root)
+                found = hook(root, cand)
+                if found is None:
+                    assert order == 1, (ks, graph.box, graph.vectors[root])
+                    continue
+                nontrivial += 1
+                got_core, orbit = found
+                assert got_core == core, (ks, graph.box, graph.vectors[root])
+                for v, bits in orbits.items():
+                    assert orbit(v) == bits, (ks, graph.box, graph.vectors[root], v)
+
+                def core_only(i, c):
+                    return found[0], lambda v: 1 << v
+
+                args = (graph.adj, [root], 0, None, None, None, covers, requires)
+                res = max_clique(*args, symmetry=hook)
+                plain = max_clique(*args, symmetry=core_only)
+                assert res.size == plain.size, (ks, graph.box, graph.vectors[root])
+                assert max(res.members, default=root) == root
+                assert not set(res.members[:-1]) - {v for v in range(root) if core >> v & 1}
+                checks += 1
+        assert nontrivial == checks > 2000, checks
 
 
 class TestCrossDigraph:

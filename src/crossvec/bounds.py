@@ -187,30 +187,44 @@ def generalized_bounds(ks) -> BoundsReport:
 
     The product of all thresholds except the smallest is realized by
     generalized_product_family, and the full product is an upper bound.
-    When the smallest threshold is 1 the two meet; so do they when the
-    sorted thresholds follow the doubling pattern
+    Further proven upper bounds join it as candidates:
+
+    - width 1: two distinct vectors of Z^1 are comparable, so a family
+      has at most 1 member;
+    - width 2, thresholds (a, b): the n members of an antichain in Z^2
+      sort with the first coordinate strictly increasing and the second
+      strictly decreasing, so the end pair differs by at least n - 1 on
+      both coordinates.  It would be (a, b)-crossing if n - 1 >= max(a, b),
+      so n <= max(a, b);
+    - all thresholds equal to k: every candidate of best_upper_bound(k, w),
+      among them the paper's k^2 at width 3.
+
+    When the smallest threshold is 1 the product meets the lower bound;
+    so it does when the sorted thresholds follow the doubling pattern
     (k, k, 2k, ..., 2^(w-2) k), where the lower bound is known to be
-    exact.  ks must be a non-empty sequence of positive thresholds; the
-    report keeps their order.
+    exact.  The report is exact whenever the least upper bound meets the
+    lower bound.  ks must be a non-empty sequence of positive thresholds;
+    the report keeps their order.
     """
     ks = threshold_seq(ks)
-    upper = math.prod(ks)
-    lower = upper // min(ks)
-    candidates: list[tuple[str, int]] = [("product-all", upper)]
-    exact = False
+    w, product = len(ks), math.prod(ks)
+    lower = product // min(ks)
+    candidates: list[tuple[str, int]] = [("product-all", product)]
+    if w <= 2:
+        candidates.append((f"width-{w}", max(ks) if w == 2 else 1))
     if _is_geometric(tuple(sorted(ks))):
         candidates.append(("geometric-exact", lower))
-        exact = True
-    if min(ks) == 1:
-        exact = True
+    if len(set(ks)) == 1:
+        candidates.extend(best_upper_bound(ks[0], w).candidates)
+    upper = min(v for _, v in candidates)
     return BoundsReport(
-        w=len(ks),
+        w=w,
         ks=ks,
         lower=lower,
         conjectured=lower,
-        upper=min(v for _, v in candidates),
+        upper=upper,
         candidates=tuple(candidates),
-        exact=exact,
+        exact=upper == lower,
     )
 
 

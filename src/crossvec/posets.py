@@ -235,15 +235,32 @@ def _width_from_leq(leq: Sequence[int], n: int):
     match_r = [-1] * n  # right j -> left i
     match_l = [-1] * n  # left i -> right j
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if seen[j]:
+    def augment(root: int, seen: list[bool]) -> bool:
+        # Kuhn's depth-first search for an augmenting path from root, on
+        # an explicit stack so that long paths cannot overflow Python's
+        # recursion limit.  stack[d] holds the left vertex at depth d and
+        # its right neighbours not yet tried, in adjacency order, which
+        # fixes the matching and so the antichain and chains returned;
+        # path[d] is the right vertex that depth d is trying.
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    seen[j] = True
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
-            seen[j] = True
-            if match_r[j] < 0 or augment(match_r[j], seen):
-                match_r[j] = i
-                match_l[i] = j
+            path.append(j)
+            if match_r[j] < 0:
+                for (left, _), right in zip(stack, path):
+                    match_r[right] = left
+                    match_l[left] = right
                 return True
+            stack.append((match_r[j], iter(adj[match_r[j]])))
         return False
 
     matched = 0
@@ -352,30 +369,37 @@ def max_antichains(p: Poset, cap: int = 1_000_000) -> MaxAntichainLattice:
     cmp_masks = [p.comparable_mask(i) for i in range(n)]
     found: list[tuple[int, ...]] = []
     truncated = False
-
-    def extend(start: int, chosen: list[int], blocked: int):
-        nonlocal truncated
+    full = (1 << n) - 1
+    # On an explicit stack, so that wide antichains cannot overflow
+    # Python's recursion limit: stack[d] is [next element to try,
+    # blocked] for depth d, and chosen holds the elements taken above it.
+    chosen: list[int] = []
+    stack = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        i, blocked = frame
         if len(chosen) == w:
             if len(found) >= cap:
                 truncated = True
-                return
+                break
             found.append(tuple(chosen))
-            return
-        for i in range(start, n):
-            if truncated:
-                return
-            if blocked >> i & 1:
-                continue
-            # Not enough incomparable elements left to finish.
-            probe = ~(blocked | cmp_masks[i]) & (~0 << (i + 1)) & ((1 << n) - 1)
-            free_above = probe.bit_count()
-            if len(chosen) + 1 + free_above < w:
-                continue
-            chosen.append(i)
-            extend(i + 1, chosen, blocked | cmp_masks[i] | (1 << i))
-            chosen.pop()
+            i = n
+        need = w - len(chosen) - 1
+        while i < n and (
+            blocked >> i & 1
+            # Not enough incomparable elements left above i to finish.
+            or (~(blocked | cmp_masks[i]) & (~0 << (i + 1)) & full).bit_count() < need
+        ):
+            i += 1
+        if i == n:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[0] = i + 1
+        chosen.append(i)
+        stack.append([i + 1, blocked | cmp_masks[i] | (1 << i)])
 
-    extend(0, [], 0)
     labels = p.labels
     members = tuple(tuple(labels[i] for i in a) for a in found)
     member_masks = [sum(1 << i for i in a) for a in found]

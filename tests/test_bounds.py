@@ -13,6 +13,7 @@ from crossvec import (
     distinct_values_bound_check,
     exact_value,
     generalized_bounds,
+    max_family_size,
     height_signature,
     lower_bound,
     product_family,
@@ -126,9 +127,29 @@ class TestGeneralizedBounds:
         assert rep.ks == (1, 3, 5) and rep.k is None
 
     def test_open_case(self):
-        rep = generalized_bounds((2, 2, 2))
+        rep = generalized_bounds((2, 2, 3))
         assert not rep.exact
-        assert (rep.lower, rep.upper) == (4, 8)
+        assert (rep.lower, rep.upper) == (6, 12)
+
+    def test_proven_candidates(self):
+        # Width 1 holds one vector, width 2 at most max(a, b), and equal
+        # thresholds get best_upper_bound's candidates: the paper's k^2 at
+        # width 3.  Each exact value is the certified search maximum.
+        for ks, name, value in (
+            ((2,), "width-1", 1),
+            ((2, 5), "width-2", 5),
+            ((5, 2), "width-2", 5),
+            ((3, 4), "width-2", 4),
+            ((2, 2, 2), "exact", 4),
+        ):
+            rep = generalized_bounds(ks)
+            assert (name, value) in rep.candidates
+            assert rep.exact and rep.lower == rep.upper == value, ks
+            res = max_family_size(ks, len(ks))
+            assert res.exhaustive and res.best_size == value, ks
+        rep, ref = generalized_bounds((2, 2, 2, 2)), best_upper_bound(2, 4)
+        assert set(ref.candidates) <= set(rep.candidates)
+        assert (rep.lower, rep.upper, rep.exact) == (ref.lower, ref.upper, ref.exact) == (8, 12, False)
 
     def test_geometric_doubling_is_exact(self):
         for ks, value in (((2, 2, 4), 8), ((2, 2, 4, 8), 64), ((3, 3, 6), 18)):

@@ -289,7 +289,7 @@ class TestSearchCommand:
         assert code == code23 == 0
         rec, rec23 = records(out), records(out23)
         assert rec.pop("ks") == "3,2" and rec23.pop("ks") == "2,3"
-        assert rec == rec23 and (rec["lower"], rec["upper"]) == ("3", "6")
+        assert rec == rec23 and (rec["lower"], rec["upper"]) == ("3", "3")
 
     def test_width_zero_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "search", "--k", "2", "--w", "0")
@@ -413,6 +413,18 @@ class TestPosetCommand:
         assert rec["width"] == "2"
         assert rec["maximum_antichains"] == "4"
         assert rec["lattice_width"] == "2"
+
+    def test_wide_antichain(self, capsys, tmp_path):
+        # One elements line of 1,200 labels: width and enumeration both
+        # go deeper than the default recursion limit.
+        path = tmp_path / "p.txt"
+        path.write_text("elements " + " ".join(f"x{i}" for i in range(1200)) + "\n")
+        code, out, _ = run_cli(
+            capsys, "poset", "--input", str(path), "--format", "records"
+        )
+        assert code == 0
+        rec = records(out)
+        assert (rec["width"], rec["maximum_antichains"], rec["lattice_width"]) == ("1200", "1", "1")
 
     def test_contains(self, capsys, tmp_path):
         path = tmp_path / "p.txt"

@@ -153,6 +153,25 @@ class TestWidth:
                 assert all(p.leq(a, b) for a, b in zip(ch, ch[1:]))
 
 
+    def test_long_fence_past_recursion_limit(self):
+        # The fence a_i < b_i > a_{i+1} on 2,000 elements has width 1,000,
+        # and Kuhn's augmenting paths along it run far deeper than the
+        # default recursion limit.
+        n = 1000
+        labels = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+        relations = [(f"a{i}", f"b{i}") for i in range(n)]
+        relations += [(f"a{i + 1}", f"b{i}") for i in range(n - 1)]
+        p = Poset(labels, relations)
+        assert sys.getrecursionlimit() < 2 * n
+        w, antichain, chains = width(p)
+        assert w == len(antichain) == len(chains) == n
+        leq = p.leq_masks()
+        picked = sum(1 << p.index(x) for x in antichain)
+        assert all(leq[p.index(x)] & picked == 1 << p.index(x) for x in antichain)
+        assert sorted(x for ch in chains for x in ch) == sorted(labels)
+        assert all(p.less(a, b) for ch in chains for a, b in zip(ch, ch[1:]))
+
+
 class TestMaxAntichains:
     def test_two_plus_two_members(self):
         lat = max_antichains(disjoint_chains(2, 2))
@@ -195,6 +214,16 @@ class TestMaxAntichains:
         assert lat.truncated
         with pytest.raises(ValueError):
             lattice_width(lat)
+
+
+    def test_wide_antichain_past_recursion_limit(self):
+        # 1,200 unrelated elements: one maximum antichain, chosen one
+        # element per level of the depth-first enumeration.
+        labels = [f"x{i}" for i in range(1200)]
+        assert sys.getrecursionlimit() < len(labels)
+        lat = max_antichains(Poset(labels))
+        assert lat.members == (tuple(labels),) and not lat.truncated
+        assert lattice_width(lat) == 1
 
 
 class TestLatticeWidth:

@@ -414,17 +414,21 @@ class TestMaxFamily:
             )
 
     def test_roots_nondecreasing_within_classes(self):
-        # Coordinates 0 and 2 share threshold 3 and limit 1, coordinates
-        # 1 and 3 threshold 2 and limit 2.  A root has v[0] = 0, which
-        # already gives v[0] <= v[2], and v[1] <= v[3].
-        graph = build_compatibility_graph((3, 2, 3, 2), SearchBox((1, 2, 1, 2)))
-        roots = [graph.vectors[i] for i in search_mod._roots(graph)]
+        # In class order, coordinates 0 and 1 share threshold 2 and limit
+        # 2, coordinates 2 and 3 threshold 3 and limit 1.  A root has
+        # v[0] = 0, which already gives v[0] <= v[1], and v[2] <= v[3].
+        graph = build_compatibility_graph((2, 2, 3, 3), SearchBox((2, 2, 1, 1)))
+        roots = [graph.vectors[i] for i in search_mod._RootStabilizer(graph).roots()]
         assert roots == [
-            v for v in box_points((1, 2, 1, 2)) if v[0] == 0 and v[1] <= v[3]
+            v for v in box_points((2, 2, 1, 1)) if v[0] == 0 and v[2] <= v[3]
         ]
+        # The same classes out of order have no link: only v[0] = 0 holds.
+        graph = build_compatibility_graph((3, 2, 3, 2), SearchBox((1, 2, 1, 2)))
+        roots = [graph.vectors[i] for i in search_mod._RootStabilizer(graph).roots()]
+        assert roots == [v for v in box_points((1, 2, 1, 2)) if v[0] == 0]
         # Uniform thresholds on a cubical box: the nondecreasing tuples.
         graph = build_compatibility_graph(2, SearchBox((2, 2, 2)))
-        roots = [graph.vectors[i] for i in search_mod._roots(graph)]
+        roots = [graph.vectors[i] for i in search_mod._RootStabilizer(graph).roots()]
         assert roots == [
             v for v in box_points((2, 2, 2)) if v[0] == 0 and v == tuple(sorted(v))
         ]
@@ -671,10 +675,8 @@ class TestRootStabilizers:
         checks = nontrivial = 0
         for ks, graph, levels in driver_graphs():
             covers, requires = search_mod._covers(graph, levels)
-            hook = search_mod._RootStabilizer(
-                graph.ks, graph.box.limits, graph.vectors, graph.levels
-            )
-            for root in search_mod._roots(graph):
+            hook = search_mod._RootStabilizer(graph)
+            for root in hook.roots():
                 cand = graph.adj[root] & ((1 << root) - 1)
                 order, core, orbits = stabilizer_reference(graph, root)
                 found = hook(root, cand)
@@ -698,6 +700,95 @@ class TestRootStabilizers:
                 assert not set(res.members[:-1]) - {v for v in range(root) if core >> v & 1}
                 checks += 1
         assert nontrivial == checks > 2000, checks
+
+
+def permuted(ks, limits):
+    """Every distinct reordering of the coordinates, each threshold
+    moving with its limit: (ks, limits) pairs."""
+    for pairs in sorted(set(itertools.permutations(zip(ks, limits)))):
+        yield tuple(k for k, _ in pairs), tuple(x for _, x in pairs)
+
+
+class TestCoordinateOrder:
+    """The driver searches one canonical coordinate order (module
+    docstring, "Coordinate order"), so every reordering of an instance
+    costs the same nodes and reaches the same verdict."""
+
+    def test_every_order_matches_the_reference(self):
+        # Every ks in {1,2,3}^w for w <= 3, and some at w = 4, on small
+        # boxes, cubical and not: each reordering reports the same size,
+        # verdict and node count, its witness verifies for its own ks in
+        # its own box, and the size is the plain engine's on its graph,
+        # every vertex a root and no symmetry hook.
+        shapes = {
+            1: [(3,)],
+            2: [(2, 2), (1, 3), (3, 2)],
+            3: [(2, 2, 2), (1, 2, 3), (2, 2, 1), (3, 1, 1)],
+        }
+        cases = [
+            (ks, limits)
+            for w, boxes in shapes.items()
+            for ks in itertools.product((1, 2, 3), repeat=w)
+            for limits in boxes
+        ]
+        cases += [
+            (ks, limits)
+            for ks in ((2, 2, 2, 2), (2, 3, 2, 3), (1, 2, 2, 3), (3, 2, 2, 3))
+            for limits in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 2), (2, 1, 2, 1))
+        ]
+        reordered = 0
+        for ks, limits in cases:
+            outcomes = set()
+            for pks, plimits in permuted(ks, limits):
+                box, w = SearchBox(plimits), len(pks)
+                want = max_clique(build_compatibility_graph(pks, box).adj).size
+                got = []
+                for res in (
+                    max_family_in_box(pks, box),
+                    exists_family(pks, w, want, box=box),
+                    exists_family(pks, w, want + 1, box=box),
+                ):
+                    assert res.box == box and len(res.witness) == res.best_size
+                    assert verify(res.witness, pks).ok, (pks, plimits)
+                    assert all(0 <= v[i] <= plimits[i] for v in res.witness for i in range(w))
+                    got.append((res.best_size, res.exhaustive, res.truncated, res.nodes))
+                assert got[0][0] == want and got[1][0] >= want and got[2][0] == want, (
+                    pks, plimits, got, want,
+                )
+                outcomes.add(tuple(got))
+                reordered += 1
+            assert len(outcomes) == 1, (ks, limits, outcomes)
+        assert reordered == 772, reordered
+
+    @pytest.mark.parametrize(
+        "ks,size,nodes",
+        [((2, 3, 2), 6, 540), ((3, 3, 2), 9, 2116), ((2, 3, 4), 12, 46_955), ((4, 3, 3), 12, 416_487)],
+        ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else None,
+    )
+    def test_every_order_certifies_like_the_sorted_tuple(self, ks, size, nodes):
+        # Before one coordinate order, (3,2,2) took 699 nodes for the 540
+        # of (2,2,3), and (4,3,3) 812,548 for the 416,487 of (3,3,4).
+        for pks in sorted(set(itertools.permutations(ks))):
+            res = max_family_size(pks, 3)
+            assert (res.best_size, res.exhaustive, res.nodes) == (size, True, nodes), pks
+            assert verify(res.witness, pks).ok and len(res.witness) == size
+
+    def test_texts_name_the_callers_box(self):
+        # (2,3,2) on [0,3]x[0,6]x[0,5] is searched as [0,5]x[0,3]x[0,6].
+        box = SearchBox((3, 6, 5))
+        for res in (
+            exists_family((2, 3, 2), 3, 10, box=box, limits=SearchLimits(time_limit=0)),
+            max_family_in_box((2, 3, 2), box, SearchLimits(time_limit=0)),
+        ):
+            assert res.truncated and res.box == box
+            (note,) = res.notes
+            assert "building the compatibility graph of the box [0,3]x[0,6]x[0,5]" in note
+        res = exists_family((2, 3, 2), 3, 10, box=box, limits=SearchLimits(memory_mb=1e-4))
+        (note,) = res.notes
+        assert res.truncated and res.box == box
+        assert note.startswith("box [0,3]x[0,6]x[0,5] has 168 lattice points")
+        res = max_family_in_box((2, 3, 2), box, SearchLimits(node_limit=0))
+        assert res.notes == ("truncated; 1 is only a lower bound for box [0,3]x[0,6]x[0,5]",)
 
 
 class TestCrossDigraph:

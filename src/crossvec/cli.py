@@ -32,7 +32,6 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from .core import (
     Family,
-    ParseError,
     family_to_text,
     load_family,
     save_family,
@@ -73,15 +72,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return vals
 
 
-def _emit(pairs, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(pairs, fmt: str) -> None:
     if fmt == "records":
         for key, val in pairs:
-            stream.write(f"{key}\t{val}\n")
+            sys.stdout.write(f"{key}\t{val}\n")
         return
     pad = max((len(k) for k, _ in pairs), default=0)
     for key, val in pairs:
-        stream.write(f"{key.ljust(pad)}  {val}\n")
+        sys.stdout.write(f"{key.ljust(pad)}  {val}\n")
 
 
 def _thresholds(args):
@@ -449,9 +447,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.subcommand](args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

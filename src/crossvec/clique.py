@@ -38,16 +38,20 @@ not meet yet (`pend`); adding v gives
 pend' = (pend | requires[v]) & ~(met | member[v]), where member[v] is
 the set of covers that hold v.  A branch is cut as soon as a pending
 cover is disjoint from the candidate set, since no extension could then
-meet it.  Each node, the roots' included, opens with one walk over its
-pending covers from the top bit down: a cover with no candidate ends
-the node before it is counted, and otherwise the walk notes a cover
-with a single candidate (below).  Removing vertex v from the candidates
-can only empty masks that contain v, so the branching loop re-checks
-just those and ends the node when one has emptied.  A clique is
-recorded when it has no candidates left, and also earlier when it has
-no pending cover but does not meet every cover: an extension could then
-require a cover it cannot meet, so the largest qualifying clique need
-not be maximal.
+meet it.  A node opens with its own vertex: the root, or the vertex its
+parent branches on.  It takes that vertex through the step that takes a
+forced vertex (below): push it, narrow cand to its row, update met and
+pend, apply the recording rule, and return if no candidate is left.
+Then it walks its pending covers from the top bit down: a cover with no
+candidate ends the node, and otherwise the walk notes a cover with a
+single candidate (below).  The node is counted after this first walk,
+so a root with no lower candidate, or a node that the walk cuts, costs
+no node.  Removing vertex v from the candidates can only empty masks
+that contain v, so the branching loop re-checks just those and ends the
+node when one has emptied.  A clique is recorded when it has no
+candidates left, and also earlier when it has no pending cover but does
+not meet every cover: an extension could then require a cover it cannot
+meet, so the largest qualifying clique need not be maximal.
 Without `requires` a clique with no pending cover meets every cover,
 and only the leaves are recorded.
 
@@ -64,21 +68,25 @@ Forced vertices.  A clique S recorded below a node must meet every
 cover pending at the node, and S's own vertices meet none of them, so
 it meets each of them in a candidate.  When a pending cover holds a
 single candidate u, every clique that can still be recorded there holds
-u, and the node takes u without branching: it pushes u, updates cand,
-met and pend as for a child, records S + u under the recording rule
-below, returns if depth + |cand| is no more than the incumbent, and
-scans the pending covers again from the top bit down, for one that has
-lost its last candidate (a cut) or for the next forced vertex.  The
-cliques skipped are exactly those that miss the cover, none of which
-could be recorded, so the search stays exact.  A node is counted once,
-after its entry walk, and its forced vertices add none; the walk hands
-it its first forced vertex.  Which single cover is taken first changes
-neither the result nor the node count.  Forcing is unit propagation,
-and it is confluent: a forced vertex stays forced after another is
-pushed unless the two are not adjacent, and then either order ends in
-a cut; so every order reaches the same cut or the same set of forced
-vertices.  A return on the size check before that fixpoint excludes a
-record at it, since depth + |cand| only falls as vertices are forced.
+u, and the node takes u without branching, by the step that took its
+own vertex: it pushes u, updates cand, met and pend, records S + u
+under the recording rule below, returns if no candidate is left, and
+walks the pending covers again from the top bit down, for one that has
+lost its last candidate (a cut) or for the next forced vertex.  After
+every walk, the first included, the node returns if depth + |cand| is
+no more than the incumbent.  The cliques skipped are exactly those that
+miss the cover, none of which could be recorded, so the search stays
+exact.  A node is counted once, after its first walk, and its forced
+vertices add none.  The first walk visits every pending cover and keeps
+the last single it meets, the lowest such cover's, as the first forced
+vertex; every later walk stops at the first single it meets.  Which
+single cover is taken first changes neither the result nor the node
+count.  Forcing is unit propagation, and it is confluent: a forced
+vertex stays forced after another is pushed unless the two are not
+adjacent, and then either order ends in a cut; so every order reaches
+the same cut or the same set of forced vertices.  A return on the size
+check before that fixpoint excludes a record at it, since
+depth + |cand| only falls as vertices are forced.
 The rule composes with the rest.  A forced vertex is a candidate, so it
 lies below the root and the root stays the clique's largest vertex.
 The count cut and the colour bound (below) are taken after the forced
@@ -101,21 +109,21 @@ since T lies in keep after every earlier cover, so its vertex in C lies
 in H and the rest of T in that vertex's row.  An empty H is a cut, and
 the node returns at once.  The argument uses no property of the covers,
 so level covers and zero covers alike keep the search exact.  If cand
-shrank, the node sets cand = keep, returns when depth + |cand| is no
-more than the incumbent, and scans the pending covers from the top bit
-down as after a forced vertex: a cover walked early may have lost its
-last candidate to a later one (a cut), or be left with one (a forced
-vertex).  The rule composes with forced vertices as one loop: forced
-vertices, then a filter pass, then back to forced vertices whenever a
-shrinking pass leaves a single candidate in a pending cover, and each
-new forced vertex is followed by a new pass.  The node colours once a
-pass leaves cand as it was, or shrinks it and leaves no cover single;
-the filter is not repeated to a fixpoint.  The count cut, the colouring
-and its bound (below) see the filtered candidates.  A clique that meets
-every pending cover keeps all its candidates: by the same induction
-each is a neighbour of the clique's vertex in each cover, taken from
-keep.  So every clique that qualifies has the same candidates with and
-without the filter, and goes through the recording rule as before.
+shrank, the node sets cand = keep and walks the pending covers as after
+a forced vertex, then makes the same size check: a cover walked early
+may have lost its last candidate to a later one (a cut), or be left
+with one (a forced vertex).  The rule composes with forced vertices as
+one loop: forced vertices, then a filter pass, then back to forced
+vertices whenever a shrinking pass leaves a single candidate in a
+pending cover, and each new forced vertex is followed by a new pass.
+The node colours once a pass leaves cand as it was, or shrinks it and
+leaves no cover single; the filter is not repeated to a fixpoint.  The
+count cut, the colouring and its bound (below) see the filtered
+candidates.  A clique that meets every pending cover keeps all its
+candidates: by the same induction each is a neighbour of the clique's
+vertex in each cover, taken from keep.  So every clique that qualifies
+has the same candidates with and without the filter, and goes through
+the recording rule as before.
 Every clique the filter skips holds a dropped vertex, so it misses a
 pending cover and never qualifies.  So the recorded sizes, and with
 them `initial`, `stop_at` and the workers' merge, are those of the
@@ -287,42 +295,24 @@ class _Search:
         if self.stop_at is not None and size >= self.stop_at:
             raise _TargetReached
 
-    def _expand(self, depth, cand, met, pend):
-        # The stack holds `depth` vertices, cand is not empty and `pend` is
-        # the bit set of covers the stack requires but does not meet.
-        # Forced vertices stay on the stack; the caller pops them.
+    def _expand(self, depth, cand, met, pend, q):
+        # The stack holds `depth` vertices, `pend` is the bit set of covers
+        # the stack requires but does not meet, and the node pushes q (a
+        # bit_length), the root or a branch vertex in cand, as it pushes
+        # its forced vertices.  The caller pops what the node leaves on
+        # the stack.
         covers = self.covers
-        # Walk every pending cover from the top bit down: a cover with no
-        # candidate cuts the node before it is counted, and one with a
-        # single candidate gives the first forced vertex.
-        single = 0
-        bits = pend
-        while bits:
-            b = bits.bit_length()
-            hit = covers[b] & cand
-            if not hit & (hit - 1):
-                if not hit:
-                    return
-                single = hit
-            bits ^= 1 << (b - 1)
         rows = self.rows
         member = self.member
         requires = self.requires
         all_covers = self.all_covers
         stack = self.stack
-        # Refuse a node before counting it, so nodes never exceeds the limit.
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            raise _OutOfBudget
-        self.nodes += 1
-        if self.deadline is not None and not self.nodes & 255:
-            if time.monotonic() > self.deadline:
-                raise _OutOfBudget
-        # Forced vertices and the support filter (module docstring), until
-        # a filter pass leaves cand as it was or leaves no cover single.
+        counted = False
         filtered = False
+        # Push q, its forced vertices and the support filter's passes (module
+        # docstring), until a pass leaves cand as it was or no cover single.
         while True:
-            if single:
-                q = single.bit_length()
+            if q:
                 stack.append(q)
                 depth += 1
                 cand &= rows[q]
@@ -330,6 +320,8 @@ class _Search:
                 pend = (pend | requires[q]) & ~met
                 if not pend and depth > self.best_size and (not cand or met != all_covers):
                     self._record(depth)
+                if not cand:
+                    return
                 filtered = False
             elif filtered:
                 break
@@ -356,11 +348,11 @@ class _Search:
                     break
                 cand = keep
                 filtered = True
-            if depth + cand.bit_count() <= self.best_size:
-                return
-            # Scan the pending covers from the top bit down for a cut or the
-            # next forced vertex.
-            single = 0
+            # Walk the pending covers from the top bit down: a cover with no
+            # candidate is a cut, and one with a single candidate gives the
+            # next forced vertex, the last such cover's before the node is
+            # counted and the first one's after.
+            q = 0
             bits = pend
             while bits:
                 b = bits.bit_length()
@@ -368,9 +360,21 @@ class _Search:
                 if not hit & (hit - 1):
                     if not hit:
                         return
-                    single = hit
-                    break
+                    q = hit.bit_length()
+                    if counted:
+                        break
                 bits ^= 1 << (b - 1)
+            if not counted:
+                # Refuse a node before counting it, so nodes never exceeds the limit.
+                if self.node_limit is not None and self.nodes >= self.node_limit:
+                    raise _OutOfBudget
+                self.nodes += 1
+                if self.deadline is not None and not self.nodes & 255:
+                    if time.monotonic() > self.deadline:
+                        raise _OutOfBudget
+                counted = True
+            if depth + cand.bit_count() <= self.best_size:
+                return
         kmin = self.best_size - depth + 1
         if pend.bit_count() > kmin:  # else no class can need more
             for c in self.classes:
@@ -414,18 +418,7 @@ class _Search:
                     return
                 if orbit is not None and not cand >> (q - 1) & 1:
                     continue  # removed with an earlier branch's orbit
-                new_cand = cand & rows[q]
-                new_met = met | member[q]
-                rest = (pend | requires[q]) & ~new_met
-                stack.append(q)
-                if (
-                    not rest
-                    and depth + 1 > self.best_size
-                    and (not new_cand or new_met != all_covers)
-                ):
-                    self._record(depth + 1)
-                if new_cand:
-                    self._expand(depth + 1, new_cand, new_met, rest)
+                self._expand(depth, cand, met, pend, q)
                 del stack[depth:]
                 if orbit is None:
                     cand ^= 1 << (q - 1)
@@ -459,23 +452,12 @@ class _Search:
                         cand, self.orbit = found
                         if 1 + cand.bit_count() <= self.best_size:
                             continue
-                met = self.member[i + 1]
-                pend = self.requires[i + 1] & ~met
-                self.stack.append(i + 1)
-                if (
-                    not pend
-                    and self.best_size < 1
-                    and (not cand or met != self.all_covers)
-                ):
-                    self._record(1)
-                if cand:
-                    self._expand(1, cand, met, pend)
+                self._expand(0, cand, 0, 0, i + 1)
                 self.stack.clear()
         except _TargetReached:
-            self.stack.clear()
+            pass
         except _OutOfBudget:
             truncated = True
-            self.stack.clear()
         return CliqueResult(
             size=self.best_size,
             members=tuple(sorted(self.best)),

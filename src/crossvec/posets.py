@@ -229,9 +229,7 @@ def _width_from_leq(leq: Sequence[int], n: int):
     strictly related, so both certificates have the same cardinality
     and each is optimal.
     """
-    adj = [
-        [j for j in range(n) if j != i and leq[i] >> j & 1] for i in range(n)
-    ]
+    adj = [list(_bits(leq[i] & ~(1 << i))) for i in range(n)]
     match_r = [-1] * n  # right j -> left i
     match_l = [-1] * n  # left i -> right j
 

@@ -383,6 +383,8 @@ class TestExactness:
         assert res.size == 1
         assert len(res.members) == 1
         assert not res.truncated
+        # A root with no lower candidate is recorded without a node.
+        assert res.nodes == 0
 
     def test_empty_graph(self):
         res = max_clique([])
@@ -394,6 +396,9 @@ class TestExactness:
         res = max_clique(adj)
         assert res.size == 6
         assert res.members == tuple(range(6))
+        # Vertex 0 has no lower neighbour: as the only root it costs no node.
+        res = max_clique(adj_from_edges(3, itertools.combinations(range(3), 2)), roots=[0])
+        assert (res.size, res.members, res.nodes) == (1, (0,), 0)
 
     def test_two_triangles_and_bridge(self):
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]

@@ -55,14 +55,31 @@ meet, so the largest qualifying clique need not be maximal.
 Without `requires` a clique with no pending cover meets every cover,
 and only the leaves are recorded.
 
-Count cut.  With `requires` given, the covers are split greedily, in
-index order, into classes of pairwise disjoint masks (a cover joins the
-first class it is disjoint from).  A vertex lies in at most one cover
-of a class, so a node with c pending covers in one class needs at least
-c more vertices; `need` is the largest such c.  Without `requires` no
-classes are formed and need is 0, so a plain cover search takes every
-branch that a full colouring takes (below), apart from its forced
-vertices and the support filter.
+Count cut.  A caller may also pass `classes`, pairs (bits, cap): bits
+is a bit set of cover indices whose masks are pairwise disjoint, and
+cap is read by the capacity cut (below).  A vertex lies in at most one
+cover of a class, so a node with c pending covers in one class needs at
+least c more vertices; `need` is the largest such c.  Without classes
+need is 0, so a plain cover search takes every branch that a full
+colouring takes (below), apart from its forced vertices and the support
+filter.  A class that names a cover outside 0..len(covers)-1, or whose
+masks overlap, raises ValueError.
+
+Capacity cut.  A class's cap must bound the clique number of the graph
+on each of its masks: no clique holds more than cap vertices of one
+mask.  Once per node, after its forced vertices and support filter,
+let X be the stack's vertices together with the candidates.  Every
+clique recorded below the node lies in X, so it holds at most
+min(cap, |M & X|) vertices of each mask M of a class, and at most every
+vertex of X outside the class's masks, which the cap does not bound.
+The sum of these terms, the class's room, bounds every such clique,
+and the node returns when some class's room is at most the incumbent.
+A subtree cut this way holds no clique larger than the incumbent, so it
+would record nothing: the recorded cliques, in their order, and with
+them `initial`, `stop_at`, the witness and the workers' merge are those
+of the search without the cut, and only the node count falls.  A cap
+of n or more never cuts, since the room is then |X| = depth + |cand|,
+which the node has already found larger than the incumbent.
 
 Forced vertices.  A clique S recorded below a node must meet every
 cover pending at the node, and S's own vertices meet none of them, so
@@ -89,8 +106,8 @@ check before that fixpoint excludes a record at it, since
 depth + |cand| only falls as vertices are forced.
 The rule composes with the rest.  A forced vertex is a candidate, so it
 lies below the root and the root stays the clique's largest vertex.
-The count cut and the colour bound (below) are taken after the forced
-vertices, at the depth they reach.  Every clique the node pushes,
+The capacity cut, the count cut and the colour bound (below) are taken
+after the forced vertices, at the depth they reach.  Every clique the node pushes,
 forced or branched, goes through the recording rule, and every clique
 the forced rule skips misses a pending cover and never qualifies; so
 the recorded sizes, and with them `initial`, `stop_at` and the
@@ -118,8 +135,8 @@ vertices whenever a shrinking pass leaves a single candidate in a
 pending cover, and each new forced vertex is followed by a new pass.
 The node colours once a pass leaves cand as it was, or shrinks it and
 leaves no cover single; the filter is not repeated to a fixpoint.  The
-count cut, the colouring and its bound (below) see the filtered
-candidates.  A clique that meets every pending cover keeps all its
+capacity and count cuts, the colouring and its bound (below) see the
+filtered candidates.  A clique that meets every pending cover keeps all its
 candidates: by the same induction each is a neighbour of the clique's
 vertex in each cover, taken from keep.  So every clique that qualifies
 has the same candidates with and without the filter, and goes through
@@ -154,9 +171,9 @@ class leaves the candidates with the union nb of its members' rows: it
 is independent and takes every candidate that is no member's
 neighbour, so the candidates it leaves are exactly those in nb, and
 cand &= nb removes it (this is where a self-loop would keep a member in
-cand).  Apart from the count cut, the forced vertices and the support
-filter, the classes, their order and every branch taken are those of a
-full colouring.
+cand).  Apart from the capacity and count cuts, the forced vertices and
+the support filter, the colour classes, their order and every branch
+taken are those of a full colouring.
 
 Root symmetry.  A caller may pass `symmetry`, a function that the engine
 calls with a root i and its candidates cand (the vertices below i in
@@ -172,8 +189,8 @@ skips a branch vertex already removed, and re-checks every pending
 cover after a removal.  This keeps the root's result, the largest
 qualifying clique that holds i and otherwise lies in core.  Take such a
 clique S.  Its images under H qualify and lie in core, so the support
-filter keeps them all, and the colouring and the count cut hold for any
-candidate set.  Let q be the first branch vertex that lies in some image
+filter keeps them all, and the colouring and the capacity and count
+cuts hold for any candidate set.  Let q be the first branch vertex that lies in some image
 T.  No orbit removed before q meets an image: if the orbit of an earlier
 branch vertex p met one, some image would hold p itself.  So T lies in
 cand when the root branches on q, and that branch finds a clique at
@@ -220,25 +237,8 @@ class CliqueResult:
     truncated: bool
 
 
-def _classes(covers: tuple[int, ...]) -> tuple[int, ...]:
-    # Greedy split into pairwise disjoint masks; each class is a bit set
-    # of cover indices.
-    classes: list[int] = []
-    unions: list[int] = []
-    for j, mask in enumerate(covers):
-        for c, union in enumerate(unions):
-            if not union & mask:
-                classes[c] |= 1 << j
-                unions[c] |= mask
-                break
-        else:
-            classes.append(1 << j)
-            unions.append(mask)
-    return tuple(classes)
-
-
 class _Search:
-    def __init__(self, adj, covers, requires, node_limit, deadline):
+    def __init__(self, adj, covers, requires, classes, node_limit, deadline):
         n = len(adj)
         self.node_limit = node_limit
         self.deadline = deadline
@@ -268,14 +268,12 @@ class _Search:
         self.all_covers = all_covers = (1 << len(covers)) - 1
         if requires is None:
             requires = [all_covers] * n
-            self.classes = ()
         else:
             requires = list(requires)
             if len(requires) != n:
                 raise ValueError(f"requires has {len(requires)} entries, not {n}")
             if requires and (min(requires) < 0 or max(requires) > all_covers):
                 raise ValueError(f"requires names a cover outside 0..{len(covers) - 1}")
-            self.classes = _classes(covers)
         self.requires = [0] + requires
         # covers[j + 1] is mask j, so a cover's bit finds its mask by
         # bit_length too.
@@ -288,6 +286,22 @@ class _Search:
         columns = [bin(mask)[:1:-1].ljust(n, "0") for mask in reversed(covers)]
         member = map(int, map("".join, zip(*columns)), repeat(2, n)) if columns else repeat(0, n)
         self.member = [0, *member]
+        # The count cut reads each class's cover bits, the capacity cut its
+        # masks, the vertices outside them and its cap (module docstring).
+        self.classes = []
+        self.capacities = []
+        everyone = (1 << n) - 1
+        for bits, cap in classes:
+            if bits < 0 or bits > all_covers:
+                raise ValueError(f"a class names a cover outside 0..{len(covers) - 1}")
+            masks = [covers[j] for j in range(len(covers)) if bits >> j & 1]
+            union = 0
+            for mask in masks:
+                if union & mask:
+                    raise ValueError(f"class {bits:#b} holds overlapping cover masks")
+                union |= mask
+            self.classes.append(bits)
+            self.capacities.append((masks, everyone & ~union, cap))
 
     def _record(self, size):
         self.best_size = size
@@ -375,6 +389,22 @@ class _Search:
                 counted = True
             if depth + cand.bit_count() <= self.best_size:
                 return
+        # Capacity cut: a clique below the node lies in its stack and cand,
+        # and holds at most cap vertices of each mask of a class.
+        if self.capacities:
+            best = self.best_size
+            held = cand
+            for q in stack:
+                held |= 1 << (q - 1)
+            for masks, outside, cap in self.capacities:
+                room = (held & outside).bit_count()
+                for mask in masks:
+                    if room > best:
+                        break
+                    count = (held & mask).bit_count()
+                    room += cap if count > cap else count
+                if room <= best:
+                    return
         kmin = self.best_size - depth + 1
         if pend.bit_count() > kmin:  # else no class can need more
             for c in self.classes:
@@ -485,22 +515,25 @@ def max_clique(
     covers: Sequence[int] = (),
     requires: Sequence[int] | None = None,
     symmetry: Symmetry | None = None,
+    classes: Iterable[tuple[int, int]] = (),
 ) -> CliqueResult:
     """Exact maximum clique, optionally stopping once `stop_at` is hit.
 
     `initial` is an incumbent size: only cliques strictly larger are
     recorded, so a result with size == initial has empty members (no
     improvement found).  `roots` restricts top-level branching,
-    `covers` with `requires` restricts the recorded cliques, and
-    `symmetry` each root's candidates and branches, all as described
-    in the module docstring; None and () mean no restriction.
-    A self-loop (row v holding bit v), a cover mask with a bit outside
-    0..n-1, a `requires` entry that is not one bit set per vertex over
-    the covers, or a root outside 0..n-1 raises ValueError; n is
-    len(adj).
+    `covers` with `requires` restricts the recorded cliques,
+    `symmetry` each root's candidates and branches, and `classes`,
+    pairs (cover-index bit set, cap), give the count and capacity cuts,
+    all as described in the module docstring; None and () mean no
+    restriction.  A self-loop (row v holding bit v), a cover mask with a
+    bit outside 0..n-1, a `requires` entry that is not one bit set per
+    vertex over the covers, a class naming a cover outside
+    0..len(covers)-1 or holding overlapping masks, or a root outside
+    0..n-1 raises ValueError; n is len(adj).
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(adj, covers, requires, node_limit, deadline)
+    search = _Search(adj, covers, requires, classes, node_limit, deadline)
     return search.run(_root_list(adj, roots), initial, stop_at, symmetry)
 
 
@@ -519,6 +552,7 @@ def max_clique_parallel(
     covers: Sequence[int] = (),
     requires: Sequence[int] | None = None,
     symmetry: Symmetry | None = None,
+    classes: Iterable[tuple[int, int]] = (),
 ) -> CliqueResult:
     """Split roots across processes; exact results merge deterministically.
 
@@ -526,10 +560,11 @@ def max_clique_parallel(
     """
     root_list = _root_list(adj, roots)
     covers = tuple(covers)
+    classes = tuple(classes)
     if workers <= 1 or len(root_list) <= 1:
         return max_clique(
             adj, root_list, initial, stop_at, node_limit, time_limit, covers, requires,
-            symmetry,
+            symmetry, classes,
         )
     chunks = [root_list[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
@@ -538,7 +573,7 @@ def max_clique_parallel(
         (
             list(adj), c, initial, stop_at,
             None if node_limit is None else (node_limit + i) // len(chunks),
-            time_limit, covers, requires, symmetry,
+            time_limit, covers, requires, symmetry, classes,
         )
         for i, c in enumerate(chunks)
     ]

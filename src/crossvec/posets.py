@@ -383,11 +383,16 @@ def max_antichains(p: Poset, cap: int = 1_000_000) -> MaxAntichainLattice:
             found.append(tuple(chosen))
             i = n
         need = w - len(chosen) - 1
+        free = ~blocked & full
         while i < n and (
             blocked >> i & 1
             # Not enough incomparable elements left above i to finish.
-            or (~(blocked | cmp_masks[i]) & (~0 << (i + 1)) & full).bit_count() < need
+            or (free & ~cmp_masks[i] & (~0 << (i + 1))).bit_count() < need
         ):
+            # Nor free elements above i: no later candidate can finish either.
+            if not blocked >> i & 1 and (free >> (i + 1)).bit_count() < need:
+                i = n
+                break
             i += 1
         if i == n:
             stack.pop()

@@ -92,11 +92,14 @@ then a run of adjacent coordinates, so the class roots and the root
 stabilizers, which join only adjacent coordinates, see all of it.
 Uniform thresholds on a cubical box, as in every ranked search, keep
 the given order.  Notes, errors and the result's box keep the caller's
-order.  Thresholds ascending took fewer nodes than descending on every
-certification measured, (2,3,4) 46,955 against 150,788, though
-descending saved a few dozen on some small in-box searches.  Limits
-descending took fewer nodes than ascending on in-box searches with
-k = 2 such as [0,4]x[0,3]x[0,4]x[0,3], 13,995 against 18,669.
+order.  Before the level capacities (below), thresholds ascending took
+fewer nodes than descending on every certification measured, (2,3,4)
+46,955 against 150,788.  With them the order matters less and either
+way: ascending takes 23,453 nodes on (2,3,4) and 1,903 on (2,3,3),
+descending 16,769 and 3,459.  Limits descending took fewer nodes than
+ascending on in-box searches with k = 2 such as [0,4]x[0,3]x[0,4]x[0,3],
+13,995 against 18,669 before the capacities and 7,335 against 7,874
+with them.
 
 Symmetry pruning.  The clique engine branches on the maximum vertex,
 which in the graph's decreasing lexicographic order is the
@@ -131,12 +134,41 @@ every i.  It
 records only gap-free cliques, and cuts a branch once a required level
 has no vertex left among the candidates, or once one coordinate has
 more required levels unmet than the colour bound allows (a vertex meets
-one level per coordinate).  This composes with the root restriction:
+one level per coordinate; each coordinate's levels are one of the
+clique engine's classes).  This composes with the root restriction:
 a gap-free family takes 0 on every coordinate, so its least member has
 first coordinate 0, and a permutation inside a class keeps a family
 gap-free and maps level covers to level covers, so the argument under
 "Symmetry pruning" still finds a maximum gap-free clique whose least
 member is a root.
+
+Level capacities.  Two vectors with equal value on coordinate c differ
+by 0 there, which neither orders them nor reaches ks[c] >= 1.  So they
+are comparable, or ks-cross, exactly when their projections onto the
+other coordinates are, under the thresholds ks without c, and two
+distinct vectors of one level have distinct projections.  Each level set
+of a verifying family therefore projects one-to-one onto a verifying
+family of width w - 1 under those thresholds, and holds at most any
+upper bound on such families.  This is the level-by-level step behind
+g(k, w) <= k^(w-1) + (k-1) g(k, w-1) (`bounds.recursive_upper_bound`).
+A clique of the graph inside one level is such a level set, so a box
+search gives the clique engine each coordinate's level covers, pairwise
+disjoint, as one class with the cap
+`bounds.generalized_bounds(ks without c).upper`, or 1 at width 1, where
+a level is a single point.  The engine's capacity cut then bounds every
+clique below a node by the sum over the levels of min(cap, the level's
+vertices on the stack or among the candidates), and cuts the node when
+that is at most the incumbent (the `clique` docstring, "Capacity cut").
+The caps come from the `generalized_bounds` docstring: 1 at width 1 (two
+points of Z^1 are comparable), max(a, b) at width 2 (the end pair of a
+sorted antichain), exact in both; with all of the other thresholds equal
+to k, every `best_upper_bound` candidate, k^2 at width 3 by the paper's
+theorem; otherwise the product of the other thresholds, or the doubling
+pattern's exact value.  The caps bound every clique of the graph, not
+only the gap-free ones, and depend only on the multiset of the other
+thresholds, so the cut composes with level covers, clipping, the
+coordinate order, class roots and root stabilizers, and changes only
+node counts.  Ranked searches pass no classes.
 
 Clipping.  A gap-free family of m vectors has at most m values on each
 coordinate, so it lies in [0, m-1]^w.  A search with target m therefore
@@ -235,6 +267,7 @@ note, unless the build error already is one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -245,6 +278,7 @@ from dataclasses import dataclass, replace
 # max_clique is unused here but stays importable: perfbench wraps both
 # (tests/test_source.py checks every attribute it wraps).
 from .clique import max_clique, max_clique_parallel  # noqa: F401
+from .bounds import generalized_bounds
 from .constructions import generalized_product_family, product_family
 from .core import Family, Vector, _prefix_masks, threshold_seq, verify
 
@@ -268,7 +302,7 @@ class SearchLimits:
     exact truncation point can therefore vary with the worker count.
     Within the caps, sizes, verdicts and witnesses are
     schedule-independent; box-search node counts are not (refuting
-    f(3,3) = 10 takes 11,893 nodes on one worker, 11,933 on two).  A
+    f(3,3) = 10 takes 5,575 nodes on one worker, 5,633 on two).  A
     negative or NaN cap, or a node limit that is not a whole number,
     raises ValueError; an integral float such as 1e6 is kept as the int
     it names.  A zero time or node limit truncates.
@@ -626,25 +660,36 @@ def _remaining(limits: SearchLimits, start: float, nodes_used: int) -> SearchLim
     return SearchLimits(time_left, nodes_left, limits.memory_mb)
 
 
+@functools.lru_cache(maxsize=256)
+def _level_cap(others: tuple[int, ...]) -> int:
+    # A level's cap from the other coordinates' thresholds (module
+    # docstring, "Level capacities"); cached, as every box search asks.
+    return generalized_bounds(others).upper if others else 1
+
+
 def _covers(graph: CompatibilityGraph, levels: bool):
-    """The clique engine's covers and requires (module docstring).
+    """The clique engine's covers, requires and classes (module docstring).
 
     With `levels`, one cover per coordinate i and level l, the vertices
     at l on i, and each vertex requires the levels 0..v[i] on every i.
+    Each coordinate's levels form one class, capped by the bound on a
+    family of the other coordinates' thresholds ("Level capacities").
     Otherwise one cover per coordinate, the vertices at 0 there, which
-    every vertex requires (requires None).
+    every vertex requires (requires None), and no classes.
     """
     if not levels:
-        return [level[0] for level in graph.levels], None
+        return [level[0] for level in graph.levels], None, ()
     covers = [bits for level in graph.levels for bits in level]
     requires = [0] * graph.n
+    classes = []
     first = 0  # index of this coordinate's level-0 cover
-    for level, column in zip(graph.levels, zip(*graph.vectors)):
+    for c, (level, column) in enumerate(zip(graph.levels, zip(*graph.vectors))):
         # prefix[l] is the bit set of this coordinate's covers for levels 0..l.
         prefix = [((2 << l) - 1) << first for l in range(len(level))]
         requires = list(map(operator.or_, requires, map(prefix.__getitem__, column)))
+        classes.append((prefix[-1], _level_cap(graph.ks[:c] + graph.ks[c + 1 :])))
         first += len(level)
-    return covers, requires
+    return covers, requires, classes
 
 
 def _search(
@@ -658,12 +703,12 @@ def _search(
     0..floor(sum(limits)/2) in increasing rank, starting from the
     translated product family (module docstring, "Mirrored slices") and
     skipping any slice no larger than the incumbent.  A box search uses
-    level covers, and with a `target` it searches only
-    box ∩ [0, target - 1]^w (module docstring, "Level covers" and
-    "Clipping"); the result still reports `box`.  A ranked search uses
-    zero covers.  The result carries the verdict (module docstring,
-    "One driver"); its notes hold only a build error's text, if the
-    build raised one.
+    level covers and level capacities, and with a `target` it searches
+    only box ∩ [0, target - 1]^w (module docstring, "Level covers",
+    "Level capacities" and "Clipping"); the result still reports `box`.
+    A ranked search uses zero covers and no classes.  The result carries
+    the verdict (module docstring, "One driver"); its notes hold only a
+    build error's text, if the build raised one.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -699,12 +744,12 @@ def _search(
             if n <= best:
                 continue
             graph = build_compatibility_graph(canon_ks, canon, limits.memory_mb, rank, deadline)
-            covers, requires = _covers(graph, levels)
+            covers, requires, classes = _covers(graph, levels)
             rem = _remaining(limits, start, nodes)
             symmetry = _RootStabilizer(graph)
             res = max_clique_parallel(
                 graph.adj, symmetry.roots(), best, target,
-                rem.node_limit, rem.time_limit, workers, covers, requires, symmetry,
+                rem.node_limit, rem.time_limit, workers, covers, requires, symmetry, classes,
             )
             nodes += res.nodes
             truncated = truncated or res.truncated

@@ -152,11 +152,12 @@ class TestSearchCommand:
     @pytest.mark.parametrize(
         "ks,size,nodes,box,in_readme",
         (
-            ("2,3,3", "9", "2116", "[0,9]^3", True),
-            ("1,2,3", "6", "193", "[0,6]^3", False),
-            ("2,3,4", "12", "46955", "[0,12]^3", True),
+            ("2,3,3", "9", "1903", "[0,9]^3", True),
+            ("1,2,3", "6", "150", "[0,6]^3", False),
+            ("2,3,4", "12", "23453", "[0,12]^3", True),
+            ("2,2,5", "10", "14046", "[0,10]^3", True),
         ),
-        ids=("2-3-3", "1-2-3", "2-3-4"),
+        ids=("2-3-3", "1-2-3", "2-3-4", "2-2-5"),
     )
     def test_per_coordinate_thresholds_certify(self, capsys, ks, size, nodes, box, in_readme):
         code, out, _ = run_cli(

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from crossvec.clique import max_clique, max_clique_parallel
 
+from helpers import box_points, pair_relation
+
 
 def adj_from_edges(n, edges):
     adj = [0] * n
@@ -86,21 +88,83 @@ def qualifies(adj, covers, requires, members):
 
 
 def random_levels(rng, n, max_top=3):
-    """Covers and prefix-shaped requires from random vertex levels.
+    """Covers, prefix-shaped requires and classes from random vertex levels.
 
     Each of a few coordinates gives every vertex a level up to `max_top`;
     cover (i, l) holds the vertices at level l on coordinate i (it may be
     empty), and a vertex requires the levels 0..its own on every
-    coordinate.
+    coordinate.  Each coordinate's covers form a class with cap n, which
+    the capacity cut never reaches, so only the count cut reads it.
     """
-    covers, requires = [], [0] * n
+    covers, requires, classes = [], [0] * n, []
     for _ in range(rng.randrange(1, 4)):
         top = rng.randrange(0, max_top + 1)
         level = [rng.randrange(top + 1) for _ in range(n)]
         for v in range(n):
             requires[v] |= ((2 << level[v]) - 1) << len(covers)
+        classes.append((((2 << top) - 1) << len(covers), n))
         covers += [sum(1 << v for v in range(n) if level[v] == l) for l in range(top + 1)]
-    return covers, requires
+    return covers, requires, classes
+
+
+def clique_number(adj, bits):
+    """The largest clique inside the vertex set `bits`: every clique, each
+    grown from its largest vertex, skipping only those that cannot beat
+    the best found by size alone."""
+    best = 0
+
+    def grow(size, cand):
+        nonlocal best
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            grow(size + 1, cand & adj[v])
+        best = max(best, size)
+
+    grow(0, bits)
+    return best
+
+
+def box_instance(seq, limits):
+    """The compatibility graph of a box's points under thresholds seq,
+    with the level covers and prefix requires of a box search, and each
+    coordinate's levels as one class capped by the largest clique inside
+    one of them."""
+    points = box_points(limits)
+    n = len(points)
+    edges = [
+        (a, b) for a, b in itertools.combinations(range(n), 2)
+        if pair_relation(points[a], points[b], seq) == "free"
+    ]
+    adj = adj_from_edges(n, edges)
+    covers, requires, classes = [], [0] * n, []
+    for c, top in enumerate(limits):
+        first = len(covers)
+        covers += [sum(1 << v for v in range(n) if points[v][c] == l) for l in range(top + 1)]
+        for v in range(n):
+            requires[v] |= ((2 << points[v][c]) - 1) << first
+        cap = max(clique_number(adj, mask) for mask in covers[first:])
+        classes.append((((2 << top) - 1) << first, cap))
+    return n, adj, covers, requires, classes
+
+
+def capped(rng, adj, covers, classes):
+    """The classes split at random into smaller classes, each capped by
+    the largest clique number of its masks, or one more: caps that hold
+    on any graph."""
+    out = []
+    for bits, _ in classes:
+        parts = {}
+        for j in range(len(covers)):
+            if bits >> j & 1:
+                key = rng.randrange(2)
+                parts[key] = parts.get(key, 0) | 1 << j
+        for part in parts.values():
+            omega = max(clique_number(adj, covers[j]) for j in range(len(covers)) if part >> j & 1)
+            out.append((part, omega + rng.choice((0, 0, 1))))
+    return out
 
 
 def random_instance(rng, max_n=14):
@@ -245,7 +309,8 @@ def unmirror(n, members):
 
 
 def reference_search(
-    adj, n, roots, initial=0, stop_at=None, node_limit=None, covers=(), requires=None
+    adj, n, roots, initial=0, stop_at=None, node_limit=None, covers=(), requires=None,
+    classes=(),
 ):
     """The engine's whole contract in its mirror image, from the least vertex up.
 
@@ -254,9 +319,9 @@ def reference_search(
     (back to the forced vertices while a shrinking filter leaves a cover
     with one candidate), then colours all its candidates, each class
     taking the least vertex left.
-    Covers are sets of indices; the count cut, the recording rule and
-    both limits follow the module docstring.  Returns (size, members,
-    nodes, truncated).
+    Covers are sets of indices; the capacity cut, the count cut, the
+    recording rule and both limits follow the module docstring.  Returns
+    (size, members, nodes, truncated).
     """
     k = len(covers)
     member = [{j for j, m in enumerate(covers) if m >> v & 1} for v in range(n)]
@@ -264,16 +329,7 @@ def reference_search(
         req = [set(range(k))] * n
     else:
         req = [{j for j in range(k) if requires[v] >> j & 1} for v in range(n)]
-    classes, unions = [], []
-    for j, m in enumerate(covers if requires is not None else ()):
-        for c, union in enumerate(unions):
-            if not union & m:
-                classes[c].add(j)
-                unions[c] |= m
-                break
-        else:
-            classes.append({j})
-            unions.append(m)
+    groups = [({j for j in range(k) if bits >> j & 1}, cap) for bits, cap in classes]
     best, members, nodes, stack = initial, (), 0, []
 
     class Stop(Exception):
@@ -337,7 +393,16 @@ def reference_search(
                 return
             if not any((covers[j] & cand).bit_count() == 1 for j in pend):
                 break
-        need = max((len(pend & c) for c in classes), default=0)
+        # Capacity cut: a clique below holds at most cap vertices of each
+        # mask of a class, and any number outside its masks.
+        held = cand | sum(1 << v for v in stack)
+        for group, cap in groups:
+            inside = sum(covers[j] for j in group)
+            room = (held & ~inside).bit_count()
+            room += sum(min(cap, (held & covers[j]).bit_count()) for j in group)
+            if room <= best:
+                return
+        need = max((len(pend & group) for group, _ in groups), default=0)
         order, colors = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
             if depth + colors[idx] <= best or colors[idx] < need:
@@ -518,12 +583,13 @@ class TestRequires:
             density = rng.choice((0.3, 0.5, 0.7, 0.9))
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
             adj = adj_from_edges(n, edges)
-            covers, requires = random_levels(rng, n)
+            covers, requires, classes = random_levels(rng, n)
             roots = list(range(n))
             if rng.random() < 0.3:
                 roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
             initial = rng.choice((0, 0, 1, 2))
-            res = max_clique(adj, roots, initial, covers=covers, requires=requires)
+            res = max_clique(adj, roots, initial, covers=covers, requires=requires,
+                             classes=classes)
             expect = brute_max_requiring_clique(n, adj, covers, requires, set(roots))
             assert res.size == max(initial, expect), case
             assert not res.truncated
@@ -549,10 +615,10 @@ class TestRequires:
             n = rng.randrange(1, 30)
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
             adj = adj_from_edges(n, edges)
-            covers, _ = random_levels(rng, n)
+            covers, _, classes = random_levels(rng, n)
             everything = [(1 << len(covers)) - 1] * n
             plain = max_clique(adj, covers=covers)
-            cut = max_clique(adj, covers=covers, requires=everything)
+            cut = max_clique(adj, covers=covers, requires=everything, classes=classes)
             assert cut.size == plain.size
             assert cut.nodes <= plain.nodes
 
@@ -562,8 +628,8 @@ class TestRequires:
             n = rng.randrange(8, 18)
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
             adj = adj_from_edges(n, edges)
-            covers, requires = random_levels(rng, n)
-            kw = dict(covers=covers, requires=requires)
+            covers, requires, classes = random_levels(rng, n)
+            kw = dict(covers=covers, requires=requires, classes=capped(rng, adj, covers, classes))
             serial = max_clique_parallel(adj, workers=1, **kw)
             par = max_clique_parallel(adj, workers=2, **kw)
             assert (par.size, par.members) == (serial.size, serial.members)
@@ -648,22 +714,24 @@ class TestForcedVertices:
 
 
 def random_groups(rng, n):
-    """Covers in groups of disjoint masks, and requires from their prefixes.
+    """Covers in groups of disjoint masks, requires from their prefixes,
+    and the groups as classes with cap n.
 
     A vertex lies in at most one mask of a group, and it may lie in
     none.  It requires a prefix of each group: the masks up to its own,
     or a random prefix when it is in no mask of the group (as zero
     covers leave a vertex that meets none of them).
     """
-    covers, requires = [], [0] * n
+    covers, requires, classes = [], [0] * n, []
     for _ in range(rng.randrange(1, 4)):
         size = rng.randrange(1, 5)
         slot = [rng.randrange(-1, size) for _ in range(n)]
         for v in range(n):
             prefix = slot[v] + 1 if slot[v] >= 0 else rng.randrange(size + 1)
             requires[v] |= ((1 << prefix) - 1) << len(covers)
+        classes.append((((1 << size) - 1) << len(covers), n))
         covers += [sum(1 << v for v in range(n) if slot[v] == l) for l in range(size)]
-    return covers, requires
+    return covers, requires, classes
 
 
 class TestSupportFilter:
@@ -678,13 +746,14 @@ class TestSupportFilter:
             density = rng.choice((0.3, 0.5, 0.7, 0.9))
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
             adj = adj_from_edges(n, edges)
-            covers, requires = random_groups(rng, n)
+            covers, requires, classes = random_groups(rng, n)
             roots = list(range(n))
             if rng.random() < 0.3:
                 roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
             initial = rng.choice((0, 0, 1, 2))
             stop_at = rng.choice((None, None, 2, 3, 4))
-            res = max_clique(adj, roots, initial, stop_at, covers=covers, requires=requires)
+            res = max_clique(adj, roots, initial, stop_at, covers=covers, requires=requires,
+                             classes=classes)
             best = max(initial, brute_max_requiring_clique(n, adj, covers, requires, set(roots)))
             assert not res.truncated
             if stop_at is not None and stop_at <= initial:
@@ -718,7 +787,7 @@ class TestSupportFilter:
             density = rng.choice((0.3, 0.5, 0.7, 0.9))
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
             adj = adj_from_edges(n, edges)
-            covers, _ = random_groups(rng, n)
+            covers, _, _ = random_groups(rng, n)
             cand = sum(1 << v for v in range(n) if rng.random() < 0.7)
             masks = [covers[j] for j in range(len(covers) - 1, -1, -1) if rng.random() < 0.5]
             keep = support_filter(adj, cand, masks)
@@ -734,6 +803,79 @@ class TestSupportFilter:
                     assert not sub & ~keep, case
                 sub = (sub - 1) & cand
         assert cliques > 1000 and stronger > 10
+
+
+class TestCapacityCut:
+    def test_capped_classes_match_subset_dp(self):
+        # Caps from clique numbers hold on any graph, so the cut only
+        # prunes: the sizes are those of the subset DP, and the members
+        # those of the same search with caps no clique can reach, under
+        # incumbents, stop_at and root subsets.  The caps are tight: one
+        # less loses the maximum on many instances.
+        rng = random.Random(2323)
+        improved = stopped = tight = 0
+        for case in range(300):
+            n = rng.randrange(1, 15)
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            adj = adj_from_edges(n, edges)
+            make = rng.choice((random_levels, random_groups))
+            covers, requires, loose = make(rng, n)
+            classes = capped(rng, adj, covers, loose)
+            roots = list(range(n))
+            if rng.random() < 0.3:
+                roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            initial = rng.choice((0, 0, 1, 2))
+            stop_at = rng.choice((None, None, 2, 3, 4))
+            args = (adj, roots, initial, stop_at, None, None, covers, requires)
+            res = max_clique(*args, classes=classes)
+            plain = max_clique(*args, classes=loose)
+            best = max(initial, brute_max_requiring_clique(n, adj, covers, requires, set(roots)))
+            assert not res.truncated
+            if stop_at is not None and stop_at <= initial:
+                assert (res.size, res.nodes) == (initial, 0), case
+            elif stop_at is not None and stop_at <= best:
+                stopped += 1
+                assert stop_at <= res.size <= best, case
+            else:
+                assert res.size == best, case
+            assert (res.size, res.members) == (plain.size, plain.members), case
+            assert res.nodes <= plain.nodes, case
+            below = [(bits, cap - 1) for bits, cap in classes]
+            tight += max_clique(*args, classes=below).size < res.size
+            if res.members:
+                improved += 1
+                assert qualifies(adj, covers, requires, res.members), case
+        assert improved > 100 and stopped > 20 and tight > 20, (improved, stopped, tight)
+
+    def test_box_graphs_mirror_with_level_caps(self):
+        # Box compatibility graphs, where levels hold many points and the
+        # cut bites often: the engine makes every decision of the
+        # least-vertex search, whose cut comes after the forced vertices.
+        # A cut taken before them keeps every size but moves the node
+        # count of some of these, such as (3,1,2) on [0,3]^3.
+        cases = 0
+        boxes = {2: [(4, 4), (3, 4), (5, 5)], 3: [(2, 2, 2), (3, 3, 3), (2, 3, 3), (3, 3, 2)]}
+        for w in boxes:
+            for seq in itertools.product((1, 2, 3), repeat=w):
+                for limits in boxes[w]:
+                    n, adj, covers, requires, classes = box_instance(seq, limits)
+                    for initial in (0, 2):
+                        assert_mirrors(n, adj, covers, requires, classes, initial=initial)
+                        cases += 1
+        assert cases == 270
+
+    def test_bad_classes_rejected(self):
+        adj = adj_from_edges(3, [(0, 1), (1, 2)])
+        covers = [0b001, 0b010, 0b011]
+        for bits in (0b1000, -1):
+            with pytest.raises(ValueError, match="outside"):
+                max_clique(adj, covers=covers, classes=[(bits, 1)])
+        with pytest.raises(ValueError, match="overlapping"):
+            max_clique(adj, covers=covers, classes=[(0b011, 1), (0b110, 1)])
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="overlapping"):
+                max_clique_parallel(adj, covers=covers, classes=[(0b101, 1)], workers=workers)
 
 
 def random_swaps(rng, n, count):
@@ -864,14 +1006,17 @@ class TestParallel:
             assert not par.truncated
 
 
-def assert_mirrors(n, adj, covers=(), requires=None, roots=None, initial=0, stop_at=None,
-                   node_limit=None):
+def assert_mirrors(n, adj, covers=(), requires=None, classes=(), roots=None, initial=0,
+                   stop_at=None, node_limit=None):
     """The engine on the mirrored instance makes every decision of the
     least-vertex search: same size, members, nodes and truncation."""
     madj, mcovers, mrequires, mroots = mirror(n, adj, covers, requires, roots)
-    res = max_clique(madj, mroots, initial, stop_at, node_limit, None, mcovers, mrequires)
+    res = max_clique(madj, mroots, initial, stop_at, node_limit, None, mcovers, mrequires,
+                     classes=classes)
     least_roots = range(n) if roots is None else roots
-    expect = reference_search(adj, n, least_roots, initial, stop_at, node_limit, covers, requires)
+    expect = reference_search(
+        adj, n, least_roots, initial, stop_at, node_limit, covers, requires, classes
+    )
     assert (res.size, unmirror(n, res.members), res.nodes, res.truncated) == expect
 
 
@@ -888,7 +1033,7 @@ class TestMirror:
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
         )
         kind = data.draw(st.sampled_from(("none", "masks", "levels", "any")), label="covers")
-        covers, requires = [], None
+        covers, requires, classes = [], None, []
         if kind == "masks":
             covers = [
                 sum(1 << v for v in range(n) if rng.random() < 0.4)
@@ -896,31 +1041,44 @@ class TestMirror:
             ]
         elif kind != "none":
             # Deep levels make the count cut bite.
-            covers, requires = random_levels(rng, n, data.draw(st.integers(3, 8), label="levels"))
+            covers, requires, classes = random_levels(
+                rng, n, data.draw(st.integers(3, 8), label="levels")
+            )
             if kind == "any":
                 requires = [rng.randrange(1 << len(covers)) for _ in range(n)]
+            if data.draw(st.booleans(), label="caps"):
+                classes = capped(rng, adj, covers, classes)
         roots = None
         if n and data.draw(st.booleans(), label="restrict roots"):
             roots = rng.sample(range(n), rng.randrange(1, n + 1))
         initial = data.draw(st.integers(0, 4), label="initial")
         stop_at = data.draw(st.none() | st.integers(1, 8), label="stop_at")
         node_limit = data.draw(st.none() | st.integers(0, 300), label="node_limit")
-        assert_mirrors(n, adj, covers, requires, roots, initial, stop_at, node_limit)
+        assert_mirrors(n, adj, covers, requires, classes, roots, initial, stop_at, node_limit)
 
     def test_level_covers_at_scale(self):
         # Whole searches over deep level covers on 30 to 50 vertices, where
         # several pending covers interact: the order of the entry walk,
         # the sequential filter and the return to forced vertices each
-        # move the node count on some of these instances.
+        # move the node count on some of these instances.  Each is also
+        # searched with caps from clique numbers, which the capacity cut
+        # reads, and the cut prunes some of them.
         rng = random.Random(1919)
-        for _ in range(100):
+        pruned = 0
+        for case in range(100):
             n = rng.randrange(30, 51)
             density = rng.choice((0.6, 0.8))
             adj = adj_from_edges(
                 n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
             )
-            covers, requires = random_levels(rng, n, rng.randrange(3, 9))
-            assert_mirrors(n, adj, covers, requires)
+            covers, requires, classes = random_levels(rng, n, rng.randrange(3, 9))
+            assert_mirrors(n, adj, covers, requires, classes)
+            tight = capped(random.Random(case), adj, covers, classes)
+            assert_mirrors(n, adj, covers, requires, tight)
+            pruned += max_clique(adj, covers=covers, requires=requires, classes=tight).nodes < (
+                max_clique(adj, covers=covers, requires=requires, classes=classes).nodes
+            )
+        assert pruned > 20, pruned
 
     def test_root_with_an_empty_required_cover_costs_no_node(self):
         # Root 2 requires the cover {2}, which it meets, and the cover {3},

@@ -18,6 +18,7 @@ from crossvec import (
     compress,
     compression_box,
     exists_family,
+    generalized_bounds,
     max_family_in_box,
     max_family_size,
     normalize,
@@ -199,7 +200,7 @@ class TestExistsFamily:
         # equal: the same search, the same global verdict.
         res = exists_family(3, 3, 10, box=SearchBox((9, 9, 9)))
         assert res.found is False and res.exhaustive and not res.truncated
-        assert res.best_size == 9 and res.nodes == 11_893
+        assert res.best_size == 9 and res.nodes == 5_575
         # [0,2]^2 holds f(2,2) = 2 and is complete for size 3, so its
         # maximum is global and refutes every larger target.
         res = exists_family(2, 2, 5, box=SearchBox((2, 2)))
@@ -323,11 +324,12 @@ class TestExistsFamily:
         # Without covers this refutation takes 399,547 nodes, with zero
         # covers alone 76,111; level covers and the count cut take 37,266,
         # forced vertices 34,641, the one-pass support filter 15,577, the
-        # sequential one 13,547, and root stabilizers 11,893.
+        # sequential one 13,547, root stabilizers 11,893, and the capacity
+        # cut 5,575.
         res = exists_family(3, 3, 10, box=compression_box(3, 3, 10))
         assert res.found is False and res.exhaustive and not res.truncated
         assert res.best_size == 9
-        assert res.nodes == 11_893
+        assert res.nodes == 5_575
 
     def test_default_box_is_compression_box(self):
         # With no box given, target 10 searches the compression box
@@ -338,7 +340,7 @@ class TestExistsFamily:
         assert verify(res.witness, 3).ok
         assert str(res.box) == "[0,9]^3"
         assert res.box.complete_for == 10
-        assert res.nodes == 11_893
+        assert res.nodes == 5_575
 
     def test_failing_witness_check_raises(self, monkeypatch):
         bad = SimpleNamespace(ok=False)
@@ -454,7 +456,7 @@ class TestMaxFamily:
         # The node count pins every branching decision of the engine.
         res = max_family_in_box(2, SearchBox((4,) * 4))
         assert res.best_size == 8 and not res.truncated
-        assert res.nodes == 20_559
+        assert res.nodes == 7_331
 
     def test_workers_deterministic(self):
         one = max_family_size(2, 3, workers=1)
@@ -674,7 +676,7 @@ class TestRootStabilizers:
         # size of the plain search over the same core.
         checks = nontrivial = 0
         for ks, graph, levels in driver_graphs():
-            covers, requires = search_mod._covers(graph, levels)
+            covers, requires, classes = search_mod._covers(graph, levels)
             hook = search_mod._RootStabilizer(graph)
             for root in hook.roots():
                 cand = graph.adj[root] & ((1 << root) - 1)
@@ -693,13 +695,61 @@ class TestRootStabilizers:
                     return found[0], lambda v: 1 << v
 
                 args = (graph.adj, [root], 0, None, None, None, covers, requires)
-                res = max_clique(*args, symmetry=hook)
-                plain = max_clique(*args, symmetry=core_only)
+                res = max_clique(*args, symmetry=hook, classes=classes)
+                plain = max_clique(*args, symmetry=core_only, classes=classes)
                 assert res.size == plain.size, (ks, graph.box, graph.vectors[root])
                 assert max(res.members, default=root) == root
                 assert not set(res.members[:-1]) - {v for v in range(root) if core >> v & 1}
                 checks += 1
         assert nontrivial == checks > 2000, checks
+
+
+class TestLevelCapacities:
+    """Each coordinate's levels form one class of the clique engine,
+    capped by `generalized_bounds` of the other thresholds (module
+    docstring, "Level capacities")."""
+
+    def test_cap_source_bounds_brute_force(self):
+        # The caps a box search reads at widths 2 and 3 are the bounds of
+        # widths 1 and 2, exact there, and the uniform width-3 bound is
+        # the cap of (2,2,2,x).  [0,3]^v holds a copy of every
+        # family of at most 4 vectors, so it meets each bound.
+        for ks in [
+            *((k,) for k in (1, 2, 3)),
+            *itertools.product((1, 2, 3), repeat=2),
+            (2, 2, 2),
+        ]:
+            upper = generalized_bounds(ks).upper
+            best, _ = brute_max_family(ks, (3,) * len(ks))
+            assert upper >= best, ks
+            if len(ks) <= 2:
+                assert upper == best, ks
+
+    def test_level_caps_hold_on_every_level(self):
+        # On the small search graphs each coordinate's levels are one class,
+        # its cap is that of the other thresholds (1 at width 1), and no
+        # level holds a clique larger than the cap; many reach it.
+        checked = reached = 0
+        for ks, graph, levels in driver_graphs():
+            if not levels or len(ks) > 3:
+                continue
+            covers, _, classes = search_mod._covers(graph, True)
+            first = 0
+            assert len(classes) == len(ks)
+            for c, (bits, cap) in enumerate(classes):
+                others = ks[:c] + ks[c + 1 :]
+                assert cap == (generalized_bounds(others).upper if others else 1)
+                count = len(graph.levels[c])
+                assert bits == ((1 << count) - 1) << first
+                for mask in covers[first : first + count]:
+                    rows = [row & mask for row in graph.adj]
+                    roots = [v for v in range(graph.n) if mask >> v & 1]
+                    size = max_clique(rows, roots).size
+                    assert size <= cap, (ks, graph.box, c)
+                    checked += 1
+                    reached += size == cap
+                first += count
+        assert checked > 500 and reached > 200, (checked, reached)
 
 
 def permuted(ks, limits):
@@ -762,12 +812,18 @@ class TestCoordinateOrder:
 
     @pytest.mark.parametrize(
         "ks,size,nodes",
-        [((2, 3, 2), 6, 540), ((3, 3, 2), 9, 2116), ((2, 3, 4), 12, 46_955), ((4, 3, 3), 12, 416_487)],
-        ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else None,
+        [
+            ((2, 3, 2), 6, 420),
+            ((3, 3, 2), 9, 1903),
+            ((2, 3, 4), 12, 23_453),
+            ((4, 3, 3), 12, 115_978),
+        ],
+        ids=("2,3,2", "3,3,2", "2,3,4", "4,3,3"),
     )
     def test_every_order_certifies_like_the_sorted_tuple(self, ks, size, nodes):
         # Before one coordinate order, (3,2,2) took 699 nodes for the 540
-        # of (2,2,3), and (4,3,3) 812,548 for the 416,487 of (3,3,4).
+        # of (2,2,3), and (4,3,3) 812,548 for the 416,487 of (3,3,4); the
+        # capacity cut then took them to 420 and 115,978.
         for pks in sorted(set(itertools.permutations(ks))):
             res = max_family_size(pks, 3)
             assert (res.best_size, res.exhaustive, res.nodes) == (size, True, nodes), pks

@@ -163,15 +163,17 @@ follows from its place since kept colours are consecutive.  Every
 per-vertex table is indexed by bit_length, q = v + 1, so the largest
 vertex of a bit set finds its row, its cover bits and its requirements
 without an addition; the stack holds the same q.  One table per search,
-drop[q] = the vertices below q - 1 that are not its neighbours, removes
-a picked vertex and its neighbours from a class with a single AND.  The
-pick is the class's largest vertex, so the lower part of each row is
-enough, and the table takes about half the memory of the adjacency.  A
-class leaves the candidates with the union nb of its members' rows: it
-is independent and takes every candidate that is no member's
-neighbour, so the candidates it leaves are exactly those in nb, and
-cand &= nb removes it (this is where a self-loop would keep a member in
-cand).  Apart from the capacity and count cuts, the forced vertices and
+apart[q] = every vertex other than q - 1 that is not its neighbour,
+removes a picked vertex and its neighbours from a class with a single
+AND (the pick is the class's largest vertex, so the class holds nothing
+above it).  The support filter reads the table the same way: one AND
+removes a cover candidate's neighbours from the vertices outside the
+cover, which never hold the candidate itself.  The table takes as much
+memory as the adjacency.  A class leaves the candidates with the union
+nb of its members' rows: it is independent and takes every candidate
+that is no member's neighbour, so the candidates it leaves are exactly
+those in nb, and cand &= nb removes it (this is where a self-loop would
+keep a member in cand).  Apart from the capacity and count cuts, the forced vertices and
 the support filter, the colour classes, their order and every branch
 taken are those of a full colouring.
 
@@ -252,18 +254,18 @@ class _Search:
         # The current root's orbit function, or None (module docstring,
         # "Root symmetry").
         self.orbit = None
-        # rows[v + 1] is row v, and drop[v + 1] keeps the vertices below v
-        # that are not its neighbours; removing a colour class by its
+        # rows[v + 1] is row v, and apart[v + 1] holds every vertex other
+        # than v that is not its neighbour; removing a colour class by its
         # members' rows needs loop-free rows (module docstring, "Colouring").
+        everyone = (1 << n) - 1
         self.rows = rows = [0]
-        self.drop = drop = [0]
+        self.apart = apart = [0]
         for v in range(n):
             row = adj[v]
             if row >> v & 1:
                 raise ValueError(f"adjacency row {v} holds its own bit (a self-loop)")
-            below = (1 << v) - 1
             rows.append(row)
-            drop.append(row & below ^ below)
+            apart.append(everyone ^ row ^ (1 << v))
         covers = tuple(covers)
         self.all_covers = all_covers = (1 << len(covers)) - 1
         if requires is None:
@@ -290,7 +292,6 @@ class _Search:
         # masks, the vertices outside them and its cap (module docstring).
         self.classes = []
         self.capacities = []
-        everyone = (1 << n) - 1
         for bits, cap in classes:
             if bits < 0 or bits > all_covers:
                 raise ValueError(f"a class names a cover outside 0..{len(covers) - 1}")
@@ -317,6 +318,7 @@ class _Search:
         # the stack.
         covers = self.covers
         rows = self.rows
+        apart = self.apart
         member = self.member
         requires = self.requires
         all_covers = self.all_covers
@@ -343,7 +345,8 @@ class _Search:
                 # From the top bit down, keep a candidate only if it lies in
                 # the cover or next to one of the cover's candidates still
                 # kept.  `miss` starts as the kept candidates outside the
-                # cover and loses each cover candidate's neighbours.
+                # cover and keeps only each cover candidate's non-neighbours
+                # (never the candidate itself, which lies in the cover).
                 keep = cand
                 bits = pend
                 while bits:
@@ -351,10 +354,10 @@ class _Search:
                     hit = covers[b] & keep
                     if not hit:
                         return
-                    miss = keep & ~covers[b]
+                    miss = keep ^ hit
                     while miss and hit:
                         q = hit.bit_length()
-                        miss ^= miss & rows[q]
+                        miss &= apart[q]
                         hit ^= 1 << (q - 1)
                     keep ^= miss
                     bits ^= 1 << (b - 1)
@@ -416,7 +419,6 @@ class _Search:
         # peeled off unrecorded.  A class leaves in the rest exactly the
         # neighbours of its members (module docstring), so left &= nb
         # removes it.
-        drop = self.drop
         order = []
         ends = [0]
         color = 0
@@ -428,12 +430,12 @@ class _Search:
             if color < kmin:
                 while group:
                     q = group.bit_length()
-                    group &= drop[q]
+                    group &= apart[q]
                     nb |= rows[q]
             else:
                 while group:
                     q = group.bit_length()
-                    group &= drop[q]
+                    group &= apart[q]
                     nb |= rows[q]
                     order.append(q)
                 ends.append(len(order))

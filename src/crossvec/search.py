@@ -68,13 +68,13 @@ masks give each coordinate's level bit sets (the vertices at each
 value), from which the clique engine's covers are taken.  The n^2/8
 bytes of adjacency, the clique engine's complement rows and the
 build's masks all count against the memory budget.  The complement
-rows keep only the lower half of each row, so they are charged at half
-the adjacency's size, 1.5 n^2/8 bytes with the adjacency; with W > 1
-workers each one also holds its own copy of the adjacency and the
-complement rows, (1 + 1.5W) n^2/8 bytes in all.  The masks are L_i + 2
-prefix masks and L_i + 1 level bit sets of at most n bits for each
-coordinate with limit L_i, sum(2 L_i + 3) n/8 bytes.  The deadline is
-checked between blocks of rows, so `time_limit` covers the build.
+rows are full rows, as large as the adjacency, so the two take
+2 n^2/8 bytes; with W > 1 workers each one also holds its own copy of
+the adjacency and the complement rows, (1 + 2W) n^2/8 bytes in all.
+The masks are L_i + 2 prefix masks and L_i + 1 level bit sets of at
+most n bits for each coordinate with limit L_i, sum(2 L_i + 3) n/8
+bytes.  The deadline is checked between blocks of rows, so
+`time_limit` covers the build.
 
 Coordinate order.  Permuting the coordinates together with their
 thresholds and box limits is an isomorphism of instances: for a
@@ -420,14 +420,13 @@ _CHECK_ROWS = 256
 def _check_memory(
     what: str, n: int, box: SearchBox, memory_mb: float, workers: int = 1
 ) -> None:
-    # The clique engine's complement rows keep the lower half of each
-    # row, half the adjacency's size.
+    # The clique engine's complement rows are as large as the adjacency.
     # With several workers, each one unpickles its own adjacency and
     # builds its own complement rows next to the caller's adjacency.
     # The build holds L + 2 prefix masks and L + 1 level bit sets of at
     # most n bits for each coordinate with limit L.
     masks = sum(2 * x + 3 for x in box.limits) * n / 8
-    rows = 1.5 if workers <= 1 else 1 + 1.5 * workers
+    rows = 2 if workers <= 1 else 1 + 2 * workers
     est_mb = (rows * n * n / 8 + masks) / (1024 * 1024)
     if est_mb > memory_mb:
         per_worker = (
@@ -437,8 +436,8 @@ def _check_memory(
         )
         raise BoxTooLargeError(
             f"{what} has {n} lattice points; adjacency, its complement rows "
-            f"and coordinate masks{per_worker} would need about {est_mb:.4g} MiB, "
-            f"over the {memory_mb:g} MiB budget"
+            f"and coordinate masks{per_worker} would need about {est_mb:.4g} MiB "
+            f"({rows} n^2/8 bytes of rows and the masks), over the {memory_mb:g} MiB budget"
         )
 
 
@@ -456,8 +455,8 @@ def build_compatibility_graph(
     (module docstring, "Graph build").
 
     Raises BoxTooLargeError with a size estimate when the adjacency
-    bitmasks, the clique engine's complement rows (charged at half that
-    size) and the build's coordinate masks would exceed `memory_mb`, and
+    bitmasks, the clique engine's complement rows (charged at that size
+    again) and the build's coordinate masks would exceed `memory_mb`, and
     BuildDeadlineError when time.monotonic() passes `deadline` before a
     block of rows is built.
     """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossvec.clique import max_clique, max_clique_parallel
+from crossvec.clique import _Search, max_clique, max_clique_parallel
 
 from helpers import box_points, pair_relation
 
@@ -803,6 +803,19 @@ class TestSupportFilter:
                     assert not sub & ~keep, case
                 sub = (sub - 1) & cand
         assert cliques > 1000 and stronger > 10
+
+    def test_apart_is_each_rows_complement(self):
+        # The filter and the colouring remove a vertex's neighbours with
+        # one AND of apart[q]: every vertex but q - 1 outside row q - 1.
+        rng = random.Random(2424)
+        for n in (1, 2, 9, 70):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            adj = adj_from_edges(n, edges)
+            apart = _Search(adj, (), None, (), None, None).apart
+            assert len(apart) == n + 1
+            for v in range(n):
+                want = sum(1 << u for u in range(n) if u != v and not adj[v] >> u & 1)
+                assert apart[v + 1] == want, (n, v)
 
 
 class TestCapacityCut:

@@ -266,15 +266,16 @@ class TestExistsFamily:
         assert any("box" in note for note in res.notes)
 
     def test_memory_budget_charges_complement_rows(self):
-        # The clique engine's complement rows keep half of each row, so
-        # a budget that fits the adjacency and the coordinate masks but
-        # not the complement rows too truncates.  Each coordinate with
-        # limit L takes L + 2 prefix masks and L + 1 level bit sets.
+        # The clique engine's complement rows are as large as the
+        # adjacency, so a budget that fits the adjacency and the
+        # coordinate masks but not the complement rows too truncates.
+        # Each coordinate with limit L takes L + 2 prefix masks and
+        # L + 1 level bit sets.
         box = SearchBox((20, 20))
         n = box.size
         masks = 2 * (2 * 20 + 3) * n / 8
         adjacency_only = (n * n / 8 + masks) / 2**20
-        full = (1.5 * n * n / 8 + masks) / 2**20
+        full = (2 * n * n / 8 + masks) / 2**20
         budget = (adjacency_only + full) / 2
         res = max_family_in_box(2, box, limits=SearchLimits(memory_mb=budget))
         assert res.truncated and not res.exhaustive
@@ -288,12 +289,12 @@ class TestExistsFamily:
 
     def test_memory_budget_charges_each_worker(self):
         # Every worker holds its own adjacency and complement rows next
-        # to the caller's adjacency: (1 + 1.5W) n^2 / 8 bytes for W workers.
+        # to the caller's adjacency: (1 + 2W) n^2 / 8 bytes for W workers.
         box = SearchBox((20, 20))
         n = box.size
         masks = 2 * (2 * 20 + 3) * n / 8
-        one_worker = (1.5 * n * n / 8 + masks) / 2**20
-        two_workers = (4 * n * n / 8 + masks) / 2**20
+        one_worker = (2 * n * n / 8 + masks) / 2**20
+        two_workers = (5 * n * n / 8 + masks) / 2**20
         limits = SearchLimits(memory_mb=(one_worker + two_workers) / 2)
         res = max_family_in_box(2, box, limits=limits, workers=2)
         assert res.truncated and not res.exhaustive and res.best_size == 0
@@ -845,6 +846,34 @@ class TestCoordinateOrder:
         assert note.startswith("box [0,3]x[0,6]x[0,5] has 168 lattice points")
         res = max_family_in_box((2, 3, 2), box, SearchLimits(node_limit=0))
         assert res.notes == ("truncated; 1 is only a lower bound for box [0,3]x[0,6]x[0,5]",)
+
+
+class TestAudit:
+    """Certified refutations re-run under a second configuration: the
+    incumbent seeded at m - 1, every vertex a root, no symmetry hook, no
+    classes (so no count or capacity cut), and the vertex order reversed.
+    Each stays refuted."""
+
+    @pytest.mark.parametrize(
+        "ks,m,nodes",
+        [((3, 3, 3), 10, 26_162), ((2, 2, 3), 7, 805), ((2, 3, 3), 10, 4621)],
+        ids=("3,3,3", "2,2,3", "2,3,3"),
+    )
+    def test_refutation_holds_reversed_without_hooks(self, ks, m, nodes):
+        graph = build_compatibility_graph(ks, compression_box(ks, 3, m))
+        covers, requires, _ = search_mod._covers(graph, True)
+        n = graph.n
+
+        def mirror(bits):  # vertex v -> n - 1 - v
+            return int(f"{bits:0{n}b}"[::-1], 2)
+
+        res = max_clique(
+            [mirror(row) for row in reversed(graph.adj)],
+            initial=m - 1,
+            covers=[mirror(mask) for mask in covers],
+            requires=requires[::-1],
+        )
+        assert (res.size, res.members, res.truncated, res.nodes) == (m - 1, (), False, nodes)
 
 
 class TestCrossDigraph:

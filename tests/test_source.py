@@ -27,6 +27,20 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_optimized_run_prints_the_same_certificate():
+    # Under python -O the witness check still runs, so a search prints
+    # the same records, byte for byte, as it does without -O.
+    argv = ["-m", "crossvec", "search", "--k", "3", "--w", "3", "--target", "10",
+            "--deterministic", "--format", "records"]
+    env = {**os.environ, "PYTHONPATH": str(Path(crossvec.__file__).parent.parent)}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)
+        for flags in ((), ("-O",))
+    )
+    assert plain.stdout and plain.returncode == 1, plain.stderr
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
 def test_import_does_not_load_numpy():
     # The package runs on the standard library: importing it and its CLI,
     # and searching a box and rank slices, must not load numpy.

@@ -11,7 +11,8 @@ query came back negative; 2 usage errors or malformed input files;
 
 `search --box` certifies globally (`exhaustive yes`) whenever the box
 contains [0, best]^w, as the default compression box does.  `--ks`
-takes positive thresholds in any order in every subcommand.
+takes positive thresholds in any order in every subcommand, and a
+`--w` beside it must equal their number.
 
 `--format records` (every subcommand but `construct`, which writes a
 family file) emits tab-separated key/value lines with the same numeric
@@ -405,6 +406,9 @@ def _validate(args) -> str | None:
     if sub in ("verify", "search", "bound"):
         if (args.k is not None) == (ks is not None):
             return "exactly one of --k or --ks is required"
+    # --ks sets the width, so a --w beside it must agree.
+    if ks is not None and getattr(args, "w", None) not in (None, len(ks)):
+        return f"thresholds have width {len(ks)}, expected {args.w}"
     if sub == "construct":
         kind = args.kind
         if kind in ("product", "lex", "cyclic", "weak", "lift") and args.k is None:

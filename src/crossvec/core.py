@@ -18,24 +18,28 @@ Coordinates are 1-based in all user-facing text, error messages, and
 file I/O; internally tuples are indexed the normal 0-based way.
 
 Verification.  `verify` checks every pair of a family with one bitset
-kernel, whatever the family's size.  For each coordinate c it sorts the
-distinct values and builds prefix masks: prefix[t] is the bit set of
-the indices whose c-value is below the t-th value.  For the vector a at
-index i, `bisect` then gives, per coordinate, the indices below a[c],
-at or below a[c] - k_c, and below a[c] + k_c; OR-ed and AND-ed over the
-coordinates and restricted to the indices after i, these are the later
+kernel, whatever the family's size.  For each coordinate c,
+`_relation_table` gives, for each attained value x, four bit sets: the
+indices whose c-value is below x, at most x, at most x - k_c, and below
+x + k_c.  They come from one sorted pass over the distinct values: each
+is a prefix of the indices ordered by c-value, and `bisect` finds the
+prefixes for x - k_c and x + k_c.  For the vector a, `verify` reads the
+first, third and fourth at x = a[c]; OR-ed and AND-ed over the
+coordinates and restricted to the indices after a, these are the later
 vectors above a (comparable to it) and those that beat a by k_c on one
 coordinate and lose by k_c on another (crossing it).  Only "above" is
 needed because `Family.vectors` is lexicographically sorted: a later
 vector is never coordinatewise below an earlier one.  `bit_count` gives
 the number of violating pairs, and walking the set bits lists them in
-(i, j) order.  The masks are Python ints, so the check is exact for
+(i, j) order.  The sets are Python ints, so the check is exact for
 coordinates and thresholds of any size.  For n vectors with D distinct
-values per coordinate the masks take about w·D·n/16 bytes (35.8 MiB for
-the 15,625 vectors of the k = 5 inductive lift to width 7), and at most
-twice that: a mask is as long as its highest index.  `search` builds
-its compatibility graph from the same masks, and the package uses no
-numpy.
+values per coordinate the D + 1 prefixes take about w·D·n/16 bytes
+(35.8 MiB for the 15,625 vectors of the k = 5 inductive lift to width
+7), and at most twice that: a set is as long as its highest index; the
+table's four entries per value share those prefixes.  The relation is
+computed here only: `search` builds its compatibility graph and
+`posets` orders maximum antichains from the same table, and the package
+uses no numpy.
 """
 
 from __future__ import annotations
@@ -234,18 +238,23 @@ class VerificationReport:
         return self.is_antichain and self.is_cross_free
 
 
-def _prefix_masks(column: Sequence[int]) -> tuple[list[int], list[int]]:
-    # values: the distinct entries of the column, ascending.  prefix[t]:
-    # the bit set of the indices whose entry is below values[t], so
-    # prefix[0] is empty and prefix[-1] holds every index.
+def _relation_table(column: Sequence[int], k: int) -> dict[int, tuple[int, int, int, int]]:
+    # For each attained value x of the column, four bit sets of indices
+    # i: column[i] < x, column[i] <= x, column[i] <= x - k and
+    # column[i] < x + k (module docstring, "Verification").
     values = sorted(set(column))
     bits = dict.fromkeys(values, 0)
     for i, x in enumerate(column):
         bits[x] |= 1 << i
+    # prefix[t]: the indices below values[t]; prefix[-1] holds them all.
     prefix = [0]
     for x in values:  # popping frees each value's bits once they are in a prefix
         prefix.append(prefix[-1] | bits.pop(x))
-    return values, prefix
+    table = {}
+    for t, x in enumerate(values):
+        far, near = bisect_right(values, x - k), bisect_left(values, x + k)
+        table[x] = (prefix[t], prefix[t + 1], prefix[far], prefix[near])
+    return table
 
 
 def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
@@ -259,8 +268,8 @@ def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
 
     One bitset kernel serves every family size; it relies on the
     family's lexicographic order, is exact for ints of any size, and
-    its masks take about w·D·n/16 bytes for n vectors with D distinct
-    values per coordinate (module docstring, "Verification").
+    its relation tables take about w·D·n/16 bytes for n vectors with D
+    distinct values per coordinate (module docstring, "Verification").
     """
     if violation_cap < 0:
         raise ValueError(f"violation_cap must be nonnegative, got {violation_cap}")
@@ -270,7 +279,7 @@ def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
     # The last vector has no later partner, so a family of fewer than
     # two vectors needs no tables.
     columns = zip(*vs) if n > 1 else ()
-    tables = [(*_prefix_masks(column), k) for column, k in zip(columns, seq)]
+    tables = [_relation_table(column, k) for column, k in zip(columns, seq)]
     antichain = cross_free = True
     violations: list[tuple[Vector, Vector, str]] = []
     total = 0
@@ -279,10 +288,11 @@ def verify(family: Family, ks, violation_cap: int = 100) -> VerificationReport:
         later &= later - 1  # drop a's own bit: the indices after a
         lower = pos = 0  # some b[c] < a[c]; some b[c] <= a[c] - k
         short = -1  # every b[c] < a[c] + k
-        for (values, prefix, k), x in zip(tables, a):
-            lower |= prefix[bisect_left(values, x)]
-            pos |= prefix[bisect_right(values, x - k)]
-            short &= prefix[bisect_left(values, x + k)]
+        for table, x in zip(tables, a):
+            below, _, far, near = table[x]
+            lower |= below
+            pos |= far
+            short &= near
         # A later b is never below a, because the vectors are sorted
         # lexicographically: so b is comparable to a iff it is above a.
         comparable = later & ~lower

@@ -16,6 +16,15 @@ augmenting paths) plus the Koenig cover, which yields a witness
 antichain and a minimum chain cover of matching cardinality in one
 pass.  The same machinery runs unchanged on the M(P) order.
 
+M(P) itself comes from that cover.  `max_antichains` picks one element
+per cover chain, chain after chain, each incomparable to the picks so
+far; every maximum antichain arises exactly once, and with it its
+position vector.  On maximum antichains the vector map is an order
+embedding (`reduce_to_vectors`), so A <= B exactly when B's vector lies
+nowhere below A's, and the order is read from the relation tables of
+`core.verify` over the members' vectors instead of from pairs of
+antichains.
+
 A Poset keeps its reflexive-transitive closure in both directions, as
 bitmask rows: the up-set and the down-set of every element, the second
 transposed once from the first.  Comparability is the union of the two
@@ -33,7 +42,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Family, ParseError, _read_text, _write_text, verify
+from .core import Family, ParseError, _read_text, _relation_table, _write_text, verify
 
 Label = str
 
@@ -336,8 +345,8 @@ class MaxAntichainLattice:
     order: A <= B iff every a in A has some b in B with a <= b.
 
     `leq` holds one bitmask per member over member indices.  When the
-    enumeration hit the cap, `truncated` is set and members are only a
-    prefix of the lattice.
+    enumeration hit the cap, `truncated` is set and members are only
+    `cap` of the lattice's (`max_antichains`).
     """
 
     poset: Poset
@@ -356,66 +365,61 @@ class MaxAntichainLattice:
 def max_antichains(p: Poset, cap: int = 1_000_000) -> MaxAntichainLattice:
     """Enumerate every maximum antichain and build the lattice order.
 
-    Enumeration is depth-first over elements in index order with
-    comparability masks memoized per element; `cap` stops a blowup,
-    flagging the result truncated.
+    A maximum antichain meets every chain of a minimum chain cover in
+    exactly one element, so the enumeration picks one element per cover
+    chain, chain after chain, among those incomparable to the picks so
+    far.  Members come back in lexicographic order of their element
+    indices.  `leq` reads each member's position vector along the cover
+    (the order embedding of `reduce_to_vectors`): A <= B iff B's vector
+    lies nowhere below A's.  `cap` stops a blowup: when the poset has
+    more than `cap` maximum antichains the result holds `cap` of them,
+    in the same order but not necessarily the first `cap`, and is
+    flagged truncated.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     n = p.n
-    w, _, _ = _width_from_leq(p.leq_masks(), n)
+    w, _, chains = _width_from_leq(p.leq_masks(), n)
     cmp_masks = [p.comparable_mask(i) for i in range(n)]
-    found: list[tuple[int, ...]] = []
+    # (element indices ascending, position vector) per member.
+    found: list[tuple[list[int], tuple[int, ...]]] = []
     truncated = False
-    full = (1 << n) - 1
     # On an explicit stack, so that wide antichains cannot overflow
-    # Python's recursion limit: stack[d] is [next element to try,
-    # blocked] for depth d, and chosen holds the elements taken above it.
-    chosen: list[int] = []
-    stack = [[0, 0]]
-    while stack:
-        frame = stack[-1]
-        i, blocked = frame
-        if len(chosen) == w:
-            if len(found) >= cap:
+    # Python's recursion limit: at depth d, pos[d] is the 1-based
+    # position of the pick on chain d (0 before the first), picks[d] its
+    # element, and blocked[d] the elements comparable to picks[:d].
+    pos, picks, blocked = [0] * w, [0] * w, [0] * (w + 1)
+    d = 0
+    while d >= 0:
+        if d == w:
+            if len(found) == cap:
                 truncated = True
                 break
-            found.append(tuple(chosen))
-            i = n
-        need = w - len(chosen) - 1
-        free = ~blocked & full
-        while i < n and (
-            blocked >> i & 1
-            # Not enough incomparable elements left above i to finish.
-            or (free & ~cmp_masks[i] & (~0 << (i + 1))).bit_count() < need
-        ):
-            # Nor free elements above i: no later candidate can finish either.
-            if not blocked >> i & 1 and (free >> (i + 1)).bit_count() < need:
-                i = n
-                break
-            i += 1
-        if i == n:
-            stack.pop()
-            if chosen:
-                chosen.pop()
+            found.append((sorted(picks), tuple(pos)))
+            d -= 1
             continue
-        frame[0] = i + 1
-        chosen.append(i)
-        stack.append([i + 1, blocked | cmp_masks[i] | (1 << i)])
+        c, t = chains[d], pos[d]
+        while t < len(c) and blocked[d] >> c[t] & 1:
+            t += 1
+        if t == len(c):
+            pos[d] = 0
+            d -= 1
+            continue
+        pos[d], picks[d] = t + 1, c[t]
+        blocked[d + 1] = blocked[d] | cmp_masks[c[t]]
+        d += 1
+    found.sort()
 
     labels = p.labels
-    members = tuple(tuple(labels[i] for i in a) for a in found)
-    member_masks = [sum(1 << i for i in a) for a in found]
-    leq_rows = p.leq_masks()
+    members = tuple(tuple(labels[i] for i in a) for a, _ in found)
+    everyone = (1 << len(found)) - 1
+    tables = [_relation_table(column, 1) for column in zip(*(v for _, v in found))]
     order = []
-    for ia, a in enumerate(found):
-        row = 0
-        for ib in range(len(found)):
-            # A <= B iff every a has some b above it: the upset of each
-            # chosen element must meet B.
-            if all(leq_rows[i] & member_masks[ib] for i in a):
-                row |= 1 << ib
-        order.append(row)
+    for _, v in found:
+        below = 0  # the members whose vector lies below v somewhere
+        for table, x in zip(tables, v):
+            below |= table[x][0]
+        order.append(everyone & ~below)
     return MaxAntichainLattice(p, members, order, truncated)
 
 

@@ -52,29 +52,29 @@ Graph build.  The vertices, a box's points or one rank slice's, are
 listed in decreasing lexicographic order, and vertex i is bit i of
 every bit set: the clique engine works from the top bit down (see
 `clique`), so its largest vertex is the least point.  Per coordinate c
-the builder takes the prefix masks of `core.verify` over the vertices'
-c-values, and from them, for each attained value x, four bit sets: the
-vertices q with q[c] < x, with q[c] <= x, with q[c] <= x - ks[c], and
-with q[c] < x + ks[c].  For a vertex p, `lower` and `far_below` are the
-ORs of the first and third over the coordinates at x = p[c], and
-`at_most` and `near` the ANDs of the second and fourth.  q is
-1-crossing p iff it lies below p somewhere and above it somewhere,
-lower & ~at_most, and ks-crossing iff it lies ks[i] below on some i and
-ks[j] above on some j, far_below & ~near.  So p's row is
-lower & ~at_most & ~(far_below & ~near), which never holds p itself.
-Rows that share all but their last coordinate share the ORs and ANDs
-over the others, computed once per run of such rows.  The same prefix
-masks give each coordinate's level bit sets (the vertices at each
-value), from which the clique engine's covers are taken.  The n^2/8
-bytes of adjacency, the clique engine's complement rows and the
+the builder reads `core._relation_table` over the vertices' c-values,
+the table `core.verify` reads: for each attained value x, four bit
+sets, the vertices q with q[c] < x, with q[c] <= x, with
+q[c] <= x - ks[c], and with q[c] < x + ks[c].  For a vertex p, `lower`
+and `far_below` are the ORs of the first and third over the
+coordinates at x = p[c], and `at_most` and `near` the ANDs of the
+second and fourth.  q is 1-crossing p iff it lies below p somewhere
+and above it somewhere, lower & ~at_most, and ks-crossing iff it lies
+ks[i] below on some i and ks[j] above on some j, far_below & ~near.
+So p's row is lower & ~at_most & ~(far_below & ~near), which never
+holds p itself.  Rows that share all but their last coordinate share
+the ORs and ANDs over the others, computed once per run of such rows.
+Each coordinate's level bit sets (the vertices at each value), from
+which the clique engine's covers are taken, are at_most ^ below.  The
+n^2/8 bytes of adjacency, the clique engine's complement rows and the
 build's masks all count against the memory budget.  The complement
 rows are full rows, as large as the adjacency, so the two take
 2 n^2/8 bytes; with W > 1 workers each one also holds its own copy of
 the adjacency and the complement rows, (1 + 2W) n^2/8 bytes in all.
-The masks are L_i + 2 prefix masks and L_i + 1 level bit sets of at
-most n bits for each coordinate with limit L_i, sum(2 L_i + 3) n/8
-bytes.  The deadline is checked between blocks of rows, so
-`time_limit` covers the build.
+The masks are the table's L_i + 2 prefix masks and L_i + 1 level bit
+sets of at most n bits for each coordinate with limit L_i,
+sum(2 L_i + 3) n/8 bytes.  The deadline is checked between blocks of
+rows, so `time_limit` covers the build.
 
 Coordinate order.  Permuting the coordinates together with their
 thresholds and box limits is an isomorphism of instances: for a
@@ -272,7 +272,6 @@ import itertools
 import math
 import operator
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 # max_clique is unused here but stays importable: perfbench wraps both
@@ -280,7 +279,7 @@ from dataclasses import dataclass, replace
 from .clique import max_clique, max_clique_parallel  # noqa: F401
 from .bounds import generalized_bounds
 from .constructions import generalized_product_family, product_family
-from .core import Family, Vector, _prefix_masks, threshold_seq, verify
+from .core import Family, Vector, _relation_table, threshold_seq, verify
 
 class BoxTooLargeError(RuntimeError):
     """The requested box exceeds the adjacency-memory budget."""
@@ -451,8 +450,8 @@ def build_compatibility_graph(
     """Materialize the compatibility graph of a box or of one rank slice.
 
     With `rank` given, the vertices are the box points whose coordinates
-    sum to `rank`.  Each row comes from per-coordinate prefix masks
-    (module docstring, "Graph build").
+    sum to `rank`.  Each row comes from the per-coordinate relation
+    tables of `core.verify` (module docstring, "Graph build").
 
     Raises BoxTooLargeError with a size estimate when the adjacency
     bitmasks, the clique engine's complement rows (charged at that size
@@ -475,16 +474,12 @@ def build_compatibility_graph(
         )
     n = len(vectors)
     _check_memory(what, n, box, memory_mb)
-    # tables[c][x]: the vertices q with q[c] < x, q[c] <= x, q[c] <= x - k
-    # and q[c] < x + k, for each attained value x of coordinate c.
+    # tables[c]: the relation table of coordinate c ("Graph build").
     tables, levels = [], []
     for column, k, top in zip(list(zip(*vectors)) or [()] * box.width, seq, box.limits):
-        values, prefix = _prefix_masks(column)
-        table, level = {}, [0] * (top + 1)
-        for t, x in enumerate(values):
-            far, near = bisect_right(values, x - k), bisect_left(values, x + k)
-            table[x] = (prefix[t], prefix[t + 1], prefix[far], prefix[near])
-            level[x] = prefix[t + 1] ^ prefix[t]
+        table, level = _relation_table(column, k), [0] * (top + 1)
+        for x, (below, at_most, _, _) in table.items():
+            level[x] = at_most ^ below
         tables.append(table)
         levels.append(level)
     *heads, last = tables

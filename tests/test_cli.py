@@ -266,6 +266,26 @@ class TestSearchCommand:
         )
         assert code == 2 and "width" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--ks", "2,3", "--w", "5"),
+            ("construct", "--kind", "genproduct", "--ks", "2,3", "--w", "5"),
+            ("search", "--ks", "2,3", "--w", "5"),
+        ],
+    )
+    def test_w_must_match_the_thresholds(self, capsys, argv):
+        # --ks sets the width; a different --w is refused, not ignored.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: thresholds have width 2, expected 5\n"
+
+    def test_w_equal_to_the_thresholds_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--ks", "2,3", "--w", "2", "--format", "records")
+        assert code == 0 and records(out)["w"] == "2"
+        code, out, _ = run_cli(capsys, "construct", "--kind", "genproduct", "--ks", "2,3", "--w", "2")
+        assert code == 0 and out == run_cli(capsys, "construct", "--kind", "genproduct", "--ks", "2,3")[1]
+
     def test_thresholds_in_any_order(self, capsys, tmp_path):
         # As in the library, --ks need only be positive.
         code, out, _ = run_cli(

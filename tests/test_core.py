@@ -25,7 +25,7 @@ from crossvec import (
     save_family,
     verify,
 )
-from crossvec.core import threshold_seq
+from crossvec.core import _relation_table, threshold_seq
 
 from helpers import oracle_report, pair_relation, random_verified_family
 
@@ -286,6 +286,29 @@ class TestVerify:
         cap = data.draw(st.sampled_from((0, 1, 3, 100)), label="cap")
         f = Family(w, vs)
         assert verify(f, seq, violation_cap=cap) == oracle_report(f, seq, cap)
+
+
+class TestRelationTable:
+    def test_entries_match_their_definitions(self):
+        # Negative values, and values and thresholds beyond int64.
+        rng = random.Random(2718)
+        for _ in range(200):
+            scale = rng.choice((1, 2**66))
+            column = [rng.randrange(-6, 7) * scale for _ in range(rng.randrange(0, 30))]
+            k = rng.choice((1, 2, 3, 2**70)) * rng.choice((1, scale))
+            table = _relation_table(column, k)
+            assert set(table) == set(column)
+
+            def where(test):
+                return sum(1 << i for i, y in enumerate(column) if test(y))
+
+            for x, entry in table.items():
+                assert entry == (
+                    where(lambda y: y < x),
+                    where(lambda y: y <= x),
+                    where(lambda y: y <= x - k),
+                    where(lambda y: y < x + k),
+                )
 
 
 class TestDualOrders:

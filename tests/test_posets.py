@@ -215,6 +215,72 @@ class TestMaxAntichains:
         with pytest.raises(ValueError):
             lattice_width(lat)
 
+    @staticmethod
+    def _reference_leq(p, members):
+        # A <= B iff every element of A lies at or below some element of B.
+        return [
+            sum(
+                1 << j
+                for j, b in enumerate(members)
+                if all(any(p.leq(x, y) for y in b) for x in a)
+            )
+            for a in members
+        ]
+
+    @staticmethod
+    def _indices(p, members):
+        return [tuple(p.index(x) for x in m) for m in members]
+
+    def _random_posets(self, count):
+        rng = random.Random(4242)
+        for t in range(count):
+            p = random_poset(rng, rng.randrange(1, 13), rng.uniform(0.05, 0.6))
+            if t % 2:
+                # Labels in a shuffled order, so that index order is not
+                # a linear extension.
+                labels = list(p.labels)
+                rng.shuffle(labels)
+                p = Poset(labels, p.covers())
+            yield p
+
+    def test_members_sorted_and_leq_matches_definition(self):
+        for p in self._random_posets(200):
+            lat = max_antichains(p)
+            found = self._indices(p, lat.members)
+            assert all(list(m) == sorted(m) for m in found)
+            assert found == sorted(found) and len(set(found)) == len(found)
+            assert lat.leq == self._reference_leq(p, lat.members)
+
+    def test_empty_poset(self):
+        lat = max_antichains(Poset([]))
+        assert lat.members == ((),) and lat.leq == [1] and not lat.truncated
+
+    def test_cap_keeps_cap_members_in_order(self):
+        checked = 0
+        for p in self._random_posets(200):
+            full = max_antichains(p)
+            if full.size < 3:
+                continue
+            for cap in (1, full.size - 1):
+                lat = max_antichains(p, cap=cap)
+                assert lat.truncated and lat.size == cap
+                assert set(lat.members) <= set(full.members)
+                found = self._indices(p, lat.members)
+                assert found == sorted(found)
+                assert lat.leq == self._reference_leq(p, lat.members)
+            assert not max_antichains(p, cap=full.size).truncated
+            checked += 1
+        assert checked >= 50
+
+    def test_scale(self):
+        # One member for a 200-element interval order of width 100.
+        lat = max_antichains(random_interval_order(200, 3))
+        assert lat.size == 1 and len(lat.members[0]) == 100 and lat.leq == [1]
+        # 2^12 members: the least lies below all of them, the greatest
+        # only below itself.
+        lat = max_antichains(disjoint_chains(*[2] * 12))
+        assert lat.size == 4096 and not lat.truncated
+        assert lat.leq[0] == (1 << 4096) - 1 and lat.leq[-1] == 1 << 4095
 
     def test_wide_antichain_past_recursion_limit(self):
         # 1,200 unrelated elements: one maximum antichain, chosen one

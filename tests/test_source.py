@@ -27,6 +27,24 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_only_core_imports_bisect():
+    # The order relation on a coordinate lives in core._relation_table;
+    # every other module reads that table rather than bisecting itself.
+    importers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "bisect" in names:
+                importers.append(path.name)
+    assert importers == ["core.py"]
+
+
 def test_optimized_run_prints_the_same_certificate():
     # Under python -O the witness check still runs, so a search prints
     # the same records, byte for byte, as it does without -O.

@@ -12,7 +12,9 @@ query came back negative; 2 usage errors or malformed input files;
 `search --box` certifies globally (`exhaustive yes`) whenever the box
 contains [0, best]^w, as the default compression box does.  `--ks`
 takes positive thresholds in any order in every subcommand, and a
-`--w` beside it must equal their number.
+`--w` beside it must equal their number.  `poset --contains` takes no
+`--reduce` or `--out`, `--reduce` must be at least 1, and `--out`
+needs `--reduce`; each is refused before any output.
 
 `--format records` (every subcommand but `construct`, which writes a
 family file) emits tab-separated key/value lines with the same numeric
@@ -439,6 +441,13 @@ def _validate(args) -> str | None:
             return "--time-limit must be nonnegative"
         if not args.memory_mb > 0:
             return "--memory-mb must be positive"
+    if sub == "poset":
+        if args.contains is not None and (args.reduce is not None or args.out is not None):
+            return "--contains takes no --reduce or --out"
+        if args.reduce is not None and args.reduce < 1:
+            return "--reduce must be at least 1"
+        if args.out is not None and args.reduce is None:
+            return "--out requires --reduce"
     return None
 
 

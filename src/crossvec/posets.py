@@ -25,15 +25,28 @@ nowhere below A's, and the order is read from the relation tables of
 `core.verify` over the members' vectors instead of from pairs of
 antichains.
 
+The reduction's precondition, no (k+1)+(k+1) subposet, is tested by
+`contains_k_plus_k` without listing every pair of k-chains.  It walks
+the prefixes of a first chain in lexicographic order.  The second chain
+must lie in the prefix's free set, the elements incomparable to all of
+the prefix, and extending the prefix only shrinks that set.  So once the
+free set holds no k-chain, no extension of the prefix can be a first
+chain, and the walk drops them all.  Whether a set holds a k-chain takes
+k - 1 rounds of keeping the elements with a strict successor still in
+the set.  The first full chain that survives, with the first k-chain
+inside its free set, is the pair that testing every pair of k-chains in
+order returns.
+
 A Poset keeps its reflexive-transitive closure in both directions, as
-bitmask rows: the up-set and the down-set of every element, the second
-transposed once from the first.  Comparability is the union of the two
-rows, and the covers of a are its strict up-set minus everything
-strictly above some member of it.  An element whose up-set and down-set
+bitmask rows: the up-set and the down-set of every element.  The given
+relations are ORed into one row per element and closed by Warshall's
+algorithm, and the down-sets are transposed once from the up-sets.
+Comparability is the union of the two rows, and the covers of a are its
+strict up-set minus everything strictly above some member of it.  An element whose up-set and down-set
 share another element lies on a cycle.  Every member of that shared set
 reaches the element and is reached from it, so each has a given
-successor inside the set; following the given relations within the set
-until an element repeats names one cycle of given relations.
+successor inside the set; following the rows of given relations within
+the set until an element repeats names one cycle of given relations.
 """
 
 from __future__ import annotations
@@ -71,7 +84,7 @@ class Poset:
             raise ValueError("duplicate element labels")
         index = {x: i for i, x in enumerate(labs)}
         n = len(labs)
-        succ: list[set[int]] = [set() for _ in range(n)]
+        given = [0] * n  # given[i]: the j with a relation i < j given
         for a, b in relations:
             if a not in index:
                 raise ValueError(f"unknown element {a!r}")
@@ -79,11 +92,8 @@ class Poset:
                 raise ValueError(f"unknown element {b!r}")
             if a == b:
                 raise ValueError(f"self-relation {a!r} < {a!r}")
-            succ[index[a]].add(index[b])
-        leq = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in succ[i]:
-                leq[i] |= 1 << j
+            given[index[a]] |= 1 << index[b]
+        leq = [row | 1 << i for i, row in enumerate(given)]
         # Warshall over bitmask rows.
         for mid in range(n):
             bit = 1 << mid
@@ -108,7 +118,8 @@ class Poset:
                 v = i
                 while v not in seen:
                     seen[v] = len(seen)
-                    v = min(j for j in succ[v] if scc >> j & 1)
+                    nxt = given[v] & scc
+                    v = (nxt & -nxt).bit_length() - 1
                 cycle = list(seen)[seen[v]:] + [v]
                 path = " < ".join(labs[j] for j in cycle)
                 raise ValueError(f"relations contain a cycle: {path}")
@@ -238,71 +249,74 @@ def _width_from_leq(leq: Sequence[int], n: int):
     strictly related, so both certificates have the same cardinality
     and each is optimal.
     """
-    adj = [list(_bits(leq[i] & ~(1 << i))) for i in range(n)]
+    up = [leq[i] & ~(1 << i) for i in range(n)]
     match_r = [-1] * n  # right j -> left i
     match_l = [-1] * n  # left i -> right j
 
-    def augment(root: int, seen: list[bool]) -> bool:
+    def augment(root: int) -> bool:
         # Kuhn's depth-first search for an augmenting path from root, on
         # an explicit stack so that long paths cannot overflow Python's
-        # recursion limit.  stack[d] holds the left vertex at depth d and
-        # its right neighbours not yet tried, in adjacency order, which
-        # fixes the matching and so the antichain and chains returned;
-        # path[d] is the right vertex that depth d is trying.
-        stack = [(root, iter(adj[root]))]
+        # recursion limit.  stack[d] is the left vertex at depth d and
+        # path[d] the right vertex that depth d is trying.  A left vertex
+        # tries its right neighbours in ascending order and marks each in
+        # `seen` as it tries it, so the neighbours below the last one
+        # tried are all seen and the next to try is the lowest unseen
+        # one: the matching, and with it the antichain and the chains
+        # returned, is the one that walking each neighbour list in order
+        # finds.
+        stack = [root]
         path: list[int] = []
+        seen = 0
         while stack:
-            for j in stack[-1][1]:
-                if not seen[j]:
-                    seen[j] = True
-                    break
-            else:
+            free = up[stack[-1]] & ~seen
+            if not free:
                 stack.pop()
                 if path:
                     path.pop()
                 continue
+            low = free & -free
+            seen |= low
+            j = low.bit_length() - 1
             path.append(j)
             if match_r[j] < 0:
-                for (left, _), right in zip(stack, path):
+                for left, right in zip(stack, path):
                     match_r[right] = left
                     match_l[left] = right
                 return True
-            stack.append((match_r[j], iter(adj[match_r[j]])))
+            stack.append(match_r[j])
         return False
 
     matched = 0
     for i in range(n):
-        if augment(i, [False] * n):
+        if augment(i):
             matched += 1
     width = n - matched
 
     # Koenig: alternate from unmatched left vertices.
-    seen_l = [False] * n
-    seen_r = [False] * n
     stack = [i for i in range(n) if match_l[i] < 0]
-    for i in stack:
-        seen_l[i] = True
+    seen_l = sum(1 << i for i in stack)
+    seen_r = 0
     while stack:
         i = stack.pop()
-        for j in adj[i]:
-            if seen_r[j]:
-                continue
-            seen_r[j] = True
+        new = up[i] & ~seen_r
+        seen_r |= new
+        for j in _bits(new):
             i2 = match_r[j]
-            if i2 >= 0 and not seen_l[i2]:
-                seen_l[i2] = True
+            if i2 >= 0 and not seen_l >> i2 & 1:
+                seen_l |= 1 << i2
                 stack.append(i2)
-    antichain = tuple(i for i in range(n) if seen_l[i] and not seen_r[i])
+    picked = seen_l & ~seen_r
+    antichain = tuple(_bits(picked))
     if len(antichain) != width:
         raise RuntimeError(
             f"Koenig antichain has {len(antichain)} elements, width is {width}"
         )
     for a in antichain:
-        for b in antichain:
-            if a != b and leq[a] >> b & 1:
-                raise RuntimeError(
-                    f"Koenig antichain holds comparable elements {a} and {b}"
-                )
+        if up[a] & picked:
+            b = next(_bits(up[a] & picked))
+            raise RuntimeError(
+                f"Koenig antichain holds comparable elements {a} and {b}"
+            )
 
     heads = [i for i in range(n) if match_r[i] < 0]
     chains = []
@@ -459,44 +473,98 @@ def is_lattice(lat: MaxAntichainLattice) -> bool:
 # k+k detection and the vector reduction.
 
 
+def _chain_starts(up: Sequence[int], s: int, k: int) -> list[int]:
+    """starts[t]: the elements of s that start a (t + 1)-chain inside s.
+
+    Each round keeps the elements with a strict successor (`up`) still in
+    the set.  Stops at k levels or before the first empty one, so s holds
+    a k-chain exactly when k levels come back.
+    """
+    starts = []
+    while s:
+        starts.append(s)
+        if len(starts) == k:
+            break
+        # Inline rather than through _bits, as in the Poset transpose.
+        kept, rest = 0, s
+        while rest:
+            low = rest & -rest
+            if up[low.bit_length() - 1] & s:
+                kept |= low
+            rest ^= low
+        s = kept
+    return starts
+
+
 def contains_k_plus_k(p: Poset, k: int):
     """Does p contain two disjoint k-chains with no comparabilities between
-    them?  Returns (flag, witness pair of chains or None)."""
+    them?  Returns (flag, witness pair of chains or None).
+
+    The first chain is sought in lexicographic order of its element
+    indices: start ascending, each next element ascending among the
+    strict successors of the last.  A prefix leaves a free set, the
+    elements incomparable to all of it, and the second chain must lie
+    there.  Extending a prefix only shrinks its free set, so a prefix
+    whose free set holds no k-chain is dropped with all its extensions
+    (`_chain_starts` decides that in at most k - 1 rounds).  So is an
+    element that starts too short a chain of p to finish the prefix.
+    The first full chain that survives is the witness's first chain.
+    Its second is the lexicographically first k-chain inside the free
+    set, taken greedily from the levels of `_chain_starts`.  That is the
+    first pair in lexicographic order of (first chain, second chain),
+    which testing every pair of k-chains in that order returns.  The
+    walk keeps its prefixes on an explicit stack, so k may exceed the
+    recursion limit.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = p.n
-    leq = p.leq_masks()
     labels = p.labels
-    strict = [leq[i] & ~(1 << i) for i in range(n)]
-    incmp = [~p.comparable_mask(i) & ((1 << n) - 1) for i in range(n)]
+    up = [row & ~(1 << i) for i, row in enumerate(p.leq_masks())]
+    everyone = (1 << n) - 1
+    incmp = [everyone & ~p.comparable_mask(i) for i in range(n)]
+    # reach[t]: the elements that start a (t + 1)-chain of p.  Only they
+    # can stand k - 1 - t places before the end of a first chain.
+    reach = _chain_starts(up, everyone, k)
+    if len(reach) < k:
+        return False, None
 
-    chains: list[tuple[tuple[int, ...], int]] = []
-
-    def grow(members: list[int], last: int):
-        if len(members) == k:
-            free = (1 << n) - 1
-            for i in members:
-                free &= incmp[i]
-            chains.append((tuple(members), free))
-            return
-        m = strict[last]
-        for j in range(n):
-            if m >> j & 1:
-                members.append(j)
-                grow(members, j)
-                members.pop()
-
-    for i in range(n):
-        grow([i], i)
-    for idx, (c1, free) in enumerate(chains):
-        if free.bit_count() < k:
+    # frees[d] is the free set of the prefix path[:d]; options[d] the
+    # elements not yet tried as path[d].
+    path: list[int] = []
+    frees = [everyone]
+    options = [reach[-1]]
+    while options:
+        rest = options[-1]
+        if not rest:
+            options.pop()
+            frees.pop()
+            if path:
+                path.pop()
             continue
-        for c2, _ in chains:
-            if all(free >> j & 1 for j in c2):
-                return True, (
-                    tuple(labels[i] for i in c1),
-                    tuple(labels[j] for j in c2),
-                )
+        low = rest & -rest
+        options[-1] = rest ^ low
+        j = low.bit_length() - 1
+        free = frees[-1] & incmp[j]
+        # An unchanged free set keeps the k-chain its prefix was kept for.
+        if free != frees[-1] and len(_chain_starts(up, free, k)) < k:
+            continue
+        if len(path) + 1 < k:
+            path.append(j)
+            frees.append(free)
+            options.append(up[j] & reach[k - 1 - len(path)])
+            continue
+        starts = _chain_starts(up, free, k)
+        second, allowed = [], everyone
+        for level in reversed(starts):
+            pick = level & allowed
+            x = (pick & -pick).bit_length() - 1
+            second.append(x)
+            allowed = up[x]
+        return True, (
+            tuple(labels[i] for i in path + [j]),
+            tuple(labels[i] for i in second),
+        )
     return False, None
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: straight loops over pairs and
 subsets, no bit packing, no pruning beyond the obvious size cut.  The
 point is to hold a second, independent opinion on what the library
-computes.
+computes.  The two `reference_*` functions are the earlier list-based
+forms of two bit-set kernels in `crossvec.posets`, kept so that tests
+can demand identical output from the rewrites.
 """
 
 import itertools
@@ -160,6 +162,139 @@ def random_poset(rng, n, p=0.3):
             if rng.random() < p:
                 relations.append((labels[i], labels[j]))
     return Poset(labels, relations)
+
+
+def reference_width_from_leq(leq, n):
+    """Dilworth via bipartite matching on the strict order, with neighbour
+    lists: the list-based form of `posets._width_from_leq`, kept as its
+    reference.
+
+    Returns (width, antichain indices, chains as index tuples).  The
+    matching gives a minimum chain cover of n - |M| chains; the Koenig
+    cover of the matching yields n - |M| elements no two of which are
+    strictly related, so both certificates have the same cardinality
+    and each is optimal.
+    """
+    adj = [[j for j in range(n) if j != i and leq[i] >> j & 1] for i in range(n)]
+    match_r = [-1] * n  # right j -> left i
+    match_l = [-1] * n  # left i -> right j
+
+    def augment(root: int, seen: list[bool]) -> bool:
+        # Kuhn's depth-first search for an augmenting path from root, on
+        # an explicit stack so that long paths cannot overflow Python's
+        # recursion limit.  stack[d] holds the left vertex at depth d and
+        # its right neighbours not yet tried, in adjacency order, which
+        # fixes the matching and so the antichain and chains returned;
+        # path[d] is the right vertex that depth d is trying.
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    seen[j] = True
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(j)
+            if match_r[j] < 0:
+                for (left, _), right in zip(stack, path):
+                    match_r[right] = left
+                    match_l[left] = right
+                return True
+            stack.append((match_r[j], iter(adj[match_r[j]])))
+        return False
+
+    matched = 0
+    for i in range(n):
+        if augment(i, [False] * n):
+            matched += 1
+    width = n - matched
+
+    # Koenig: alternate from unmatched left vertices.
+    seen_l = [False] * n
+    seen_r = [False] * n
+    stack = [i for i in range(n) if match_l[i] < 0]
+    for i in stack:
+        seen_l[i] = True
+    while stack:
+        i = stack.pop()
+        for j in adj[i]:
+            if seen_r[j]:
+                continue
+            seen_r[j] = True
+            i2 = match_r[j]
+            if i2 >= 0 and not seen_l[i2]:
+                seen_l[i2] = True
+                stack.append(i2)
+    antichain = tuple(i for i in range(n) if seen_l[i] and not seen_r[i])
+    if len(antichain) != width:
+        raise RuntimeError(
+            f"Koenig antichain has {len(antichain)} elements, width is {width}"
+        )
+    for a in antichain:
+        for b in antichain:
+            if a != b and leq[a] >> b & 1:
+                raise RuntimeError(
+                    f"Koenig antichain holds comparable elements {a} and {b}"
+                )
+
+    heads = [i for i in range(n) if match_r[i] < 0]
+    chains = []
+    for h in heads:
+        cur, members = h, [h]
+        while match_l[cur] >= 0:
+            cur = match_l[cur]
+            members.append(cur)
+        chains.append(tuple(members))
+    if len(chains) != width or sum(len(c) for c in chains) != n:
+        raise RuntimeError(
+            f"chain cover {chains} is not {width} chains partitioning {n} elements"
+        )
+    return width, antichain, tuple(chains)
+
+
+def reference_contains_k_plus_k(p, k):
+    """`posets.contains_k_plus_k` by listing every k-chain and testing
+    every pair of them, first chain in the outer loop; its reference."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = p.n
+    leq = p.leq_masks()
+    labels = p.labels
+    strict = [leq[i] & ~(1 << i) for i in range(n)]
+    incmp = [~p.comparable_mask(i) & ((1 << n) - 1) for i in range(n)]
+
+    chains: list[tuple[tuple[int, ...], int]] = []
+
+    def grow(members: list[int], last: int):
+        if len(members) == k:
+            free = (1 << n) - 1
+            for i in members:
+                free &= incmp[i]
+            chains.append((tuple(members), free))
+            return
+        m = strict[last]
+        for j in range(n):
+            if m >> j & 1:
+                members.append(j)
+                grow(members, j)
+                members.pop()
+
+    for i in range(n):
+        grow([i], i)
+    for idx, (c1, free) in enumerate(chains):
+        if free.bit_count() < k:
+            continue
+        for c2, _ in chains:
+            if all(free >> j & 1 for j in c2):
+                return True, (
+                    tuple(labels[i] for i in c1),
+                    tuple(labels[j] for j in c2),
+                )
+    return False, None
 
 
 def suite_families():

@@ -485,6 +485,24 @@ class TestPosetCommand:
         assert code == 3
         assert records(out)["lattice"] == "truncated"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--reduce", "0"), "--reduce must be at least 1"),
+            (("--reduce", "-2", "--out", "fam.txt"), "--reduce must be at least 1"),
+            (("--contains", "2", "--reduce", "1"), "--contains takes no --reduce or --out"),
+            (("--contains", "2", "--out", "fam.txt"), "--contains takes no --reduce or --out"),
+            (("--out", "fam.txt"), "--out requires --reduce"),
+        ],
+    )
+    def test_flag_conflicts_refused_before_output(self, capsys, tmp_path, monkeypatch, flags, message):
+        path = tmp_path / "p.txt"
+        path.write_text(self.POSET)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "poset", "--input", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "fam.txt").exists()
+
     def test_parse_error_carries_line(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("elements a b\na < q\n")

@@ -1,6 +1,7 @@
 """Posets, width with witnesses, the lattice of maximum antichains."""
 
 import io
+import itertools
 import random
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from crossvec import (
     Family,
+    MaxAntichainLattice,
     ParseError,
     Poset,
     chain,
@@ -28,7 +30,31 @@ from crossvec import (
     width,
 )
 
-from helpers import brute_max_antichains, random_poset
+from crossvec.posets import _width_from_leq
+
+from helpers import (
+    brute_max_antichains,
+    random_poset,
+    reference_contains_k_plus_k,
+    reference_width_from_leq,
+)
+
+
+def _identity_posets():
+    # 2,000 seeded random posets (n <= 9, half with shuffled labels, so
+    # that index order is not always a linear extension), then interval
+    # orders of up to 60 elements.
+    rng = random.Random(20261021)
+    for t in range(2000):
+        p = random_poset(rng, rng.randrange(0, 10), rng.uniform(0.05, 0.7))
+        if t % 2:
+            labels = list(p.labels)
+            rng.shuffle(labels)
+            p = Poset(labels, p.covers())
+        yield p
+    for n in range(1, 61, 3):
+        for seed in range(2):
+            yield random_interval_order(n, seed)
 
 
 class TestPosetConstruction:
@@ -170,6 +196,16 @@ class TestWidth:
         assert all(leq[p.index(x)] & picked == 1 << p.index(x) for x in antichain)
         assert sorted(x for ch in chains for x in ch) == sorted(labels)
         assert all(p.less(a, b) for ch in chains for a, b in zip(ch, ch[1:]))
+
+    def test_matches_reference_kernel(self):
+        # The bit-set matching must find the very matching that walking
+        # neighbour lists finds: same width, antichain and chains.
+        count = 0
+        for p in _identity_posets():
+            leq = p.leq_masks()
+            assert _width_from_leq(leq, p.n) == reference_width_from_leq(leq, p.n)
+            count += 1
+        assert count >= 2000
 
 
 class TestMaxAntichains:
@@ -322,6 +358,73 @@ class TestLatticeWidth:
             p = random_interval_order(9, seed=seed)
             assert lattice_width(max_antichains(p)) == 1
 
+    @staticmethod
+    def _order(m, relations):
+        # A hand-built member order: leq rows over m members, closed
+        # reflexively and transitively from the given pairs i < j.
+        leq = [1 << i for i in range(m)]
+        for i, j in relations:
+            leq[i] |= 1 << j
+        for mid in range(m):
+            for i in range(m):
+                if leq[i] >> mid & 1:
+                    leq[i] |= leq[mid]
+        members = tuple((f"m{i}",) for i in range(m))
+        return MaxAntichainLattice(Poset([]), members, leq, False)
+
+    def test_two_minimal_below_two_maximal_is_not_a_lattice(self):
+        # 0 and 1 both lie below 2 and 3: their upper bounds 2 and 3 have
+        # no least one.
+        lat = self._order(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        assert not is_lattice(lat)
+        # A top and a bottom added (members 4 and 5) do not mend it.
+        lat = self._order(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (5, 0), (5, 1)])
+        assert not is_lattice(lat)
+
+    def test_order_without_top_is_not_a_lattice(self):
+        # A bottom below two incomparable members: every meet exists, but
+        # the two have no upper bound at all.
+        lat = self._order(3, [(0, 1), (0, 2)])
+        assert not is_lattice(lat)
+        # With a top added it is a lattice.
+        assert is_lattice(self._order(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+
+    @staticmethod
+    def _brute_is_lattice(leq, m):
+        # Every pair has exactly one minimal upper bound and exactly one
+        # maximal lower bound.
+        def le(a, b):
+            return leq[a] >> b & 1
+
+        for x, y in itertools.combinations_with_replacement(range(m), 2):
+            ups = [z for z in range(m) if le(x, z) and le(y, z)]
+            downs = [z for z in range(m) if le(z, x) and le(z, y)]
+            least = [u for u in ups if not any(v != u and le(v, u) for v in ups)]
+            greatest = [d for d in downs if not any(v != d and le(d, v) for v in downs)]
+            if len(least) != 1 or len(greatest) != 1:
+                return False
+        return True
+
+    def test_matches_brute_force_on_relabelled_random_orders(self):
+        rng = random.Random(8128)
+        verdicts = []
+        for _ in range(1000):
+            m = rng.randrange(1, 9)
+            density = rng.uniform(0.1, 0.8)
+            perm = list(range(m))
+            rng.shuffle(perm)
+            relations = [
+                (perm[i], perm[j])
+                for i in range(m)
+                for j in range(i + 1, m)
+                if rng.random() < density
+            ]
+            lat = self._order(m, relations)
+            got = is_lattice(lat)
+            assert got == self._brute_is_lattice(lat.leq, m), (m, relations)
+            verdicts.append(got)
+        assert 100 <= sum(verdicts) <= 900
+
 
 class TestContainsKPlusK:
     def test_positive(self):
@@ -342,6 +445,53 @@ class TestContainsKPlusK:
         p = disjoint_chains(4, 2)
         assert contains_k_plus_k(p, 2)[0]
         assert not contains_k_plus_k(p, 3)[0]
+
+
+    def test_long_chains_past_recursion_limit(self):
+        # Two disjoint 1,100-chains: the first chain of a witness is 1,100
+        # elements long, far past the default recursion limit.
+        k = 1100
+        p = disjoint_chains(k, k)
+        assert sys.getrecursionlimit() < k
+        found, (c1, c2) = contains_k_plus_k(p, k)
+        assert found
+        assert c1 == tuple(f"a{i}" for i in range(1, k + 1))
+        assert c2 == tuple(f"b{i}" for i in range(1, k + 1))
+        assert contains_k_plus_k(p, k + 1) == (False, None)
+
+    @staticmethod
+    def _brute_flag(p, k):
+        # Two k-subsets that are chains, with every cross pair incomparable
+        # (which also makes them disjoint).
+        labels = p.labels
+        cmp = [[p.leq(a, b) or p.leq(b, a) for b in labels] for a in labels]
+        chains = [
+            c for c in itertools.combinations(range(p.n), k)
+            if all(cmp[x][y] for x, y in itertools.combinations(c, 2))
+        ]
+        return any(
+            not any(cmp[x][y] for x in a for y in b)
+            for a, b in itertools.product(chains, repeat=2)
+        )
+
+    def test_matches_reference_and_brute_force(self):
+        count = positive = 0
+        for p in _identity_posets():
+            for k in range(1, 5) if p.n <= 9 else (1, 2):
+                got = contains_k_plus_k(p, k)
+                assert got == reference_contains_k_plus_k(p, k), (p.labels, p.covers(), k)
+                if p.n <= 9:
+                    assert got[0] == self._brute_flag(p, k), (p.labels, p.covers(), k)
+                positive += got[0]
+            count += 1
+        assert count >= 2000 and positive >= 1000
+
+    def test_interval_order_scale(self):
+        # Interval orders hold no 2+2, so no first 3-chain survives; the
+        # whole walk is a few prefixes per element.
+        p = random_interval_order(200, 3)
+        assert contains_k_plus_k(p, 3) == (False, None)
+        assert contains_k_plus_k(p, 2) == (False, None)
 
 
 class TestReduceToVectors:

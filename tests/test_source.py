@@ -45,6 +45,29 @@ def test_only_core_imports_bisect():
     assert importers == ["core.py"]
 
 
+def test_no_recursion_in_posets():
+    # Chains, antichains and augmenting paths grow with the poset, so the
+    # poset kernels run on explicit stacks: no function in posets.py may
+    # call itself, by name or as a method.
+    path = Path(crossvec.__file__).parent / "posets.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    recursive = []
+    for func in functions:
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name == func.name:
+                recursive.append(f"{func.name}:{node.lineno}")
+    assert len(functions) > 20
+    assert not recursive, recursive
+
+
 def test_optimized_run_prints_the_same_certificate():
     # Under python -O the witness check still runs, so a search prints
     # the same records, byte for byte, as it does without -O.

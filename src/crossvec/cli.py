@@ -10,11 +10,14 @@ query came back negative; 2 usage errors or malformed input files;
 3 a resource limit truncated the answer.
 
 `search --box` certifies globally (`exhaustive yes`) whenever the box
-contains [0, best]^w, as the default compression box does.  `--ks`
-takes positive thresholds in any order in every subcommand, and a
-`--w` beside it must equal their number.  `poset --contains` takes no
-`--reduce` or `--out`, `--reduce` must be at least 1, and `--out`
-needs `--reduce`; each is refused before any output.
+contains [0, best]^w, as the default compression box does.  `verify`,
+`search`, `bound` and `construct --kind genproduct` take `--ks`, positive
+thresholds in any order, and a `--w` beside it must equal their number;
+`compress` and `poset` take none.  Each of these is refused before any
+output: a `construct` flag that its `--kind` does not read (`--out`
+goes with every kind), `--no-trust-exact` beside `bound --ks`,
+`--reduce`, `--out` or `--cap` beside `poset --contains`, a `--reduce`
+below 1, and an `--out` without `--reduce`.
 
 `--format records` (every subcommand but `construct`, which writes a
 family file) emits tab-separated key/value lines with the same numeric
@@ -252,7 +255,10 @@ def _cmd_poset(args) -> int:
     ]
     for i, c in enumerate(chains, start=1):
         pairs.append((f"chain_{i}", " ".join(c)))
-    lattice = max_antichains(poset, cap=args.cap)
+    if args.cap is None:
+        lattice = max_antichains(poset)
+    else:
+        lattice = max_antichains(poset, cap=args.cap)
     pairs.append(("maximum_antichains", lattice.size))
     if lattice.truncated:
         pairs.append(("lattice", "truncated"))
@@ -380,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("poset", help="width, maximum-antichain lattice, reduction")
     p.add_argument("--input", required=True, help="poset file, or - for stdin")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int)  # None: max_antichains' own default
     p.add_argument(
         "--contains", type=int, metavar="K",
         help="only test for two disjoint incomparable K-chains",
@@ -402,6 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags each construct kind reads, beside --out.  genproduct reads
+# --w only as a check against the number of --ks thresholds.
+_KIND_FLAGS = {
+    "product": ("k", "w"),
+    "lex": ("k", "w", "coord_seq"),
+    "cyclic": ("k", "target_rank", "with_fixup"),
+    "lift": ("k", "input", "shift"),
+    "weak": ("k",),
+    "nonranked": (),
+    "genproduct": ("ks", "w"),
+}
+
+
 def _validate(args) -> str | None:
     sub = args.subcommand
     ks = getattr(args, "ks", None)
@@ -413,6 +432,14 @@ def _validate(args) -> str | None:
         return f"thresholds have width {len(ks)}, expected {args.w}"
     if sub == "construct":
         kind = args.kind
+        unread = [
+            "--" + name.replace("_", "-")
+            for name, value in vars(args).items()
+            if name not in ("subcommand", "kind", "out", *_KIND_FLAGS[kind])
+            and value is not None and value is not False
+        ]
+        if unread:
+            return f"--kind {kind} takes no {', '.join(unread)}"
         if kind in ("product", "lex", "cyclic", "weak", "lift") and args.k is None:
             return f"--kind {kind} requires --k"
         if kind in ("product", "lex") and args.w is None:
@@ -425,6 +452,8 @@ def _validate(args) -> str | None:
             return "--kind genproduct requires --ks"
     if sub == "bound" and ks is None and args.w is None:
         return "bound requires --w with --k"
+    if sub == "bound" and ks is not None and args.no_trust_exact:
+        return "--ks takes no --no-trust-exact"
     if sub == "search":
         if args.ranked and ks is not None:
             return "--ranked requires a uniform --k"
@@ -444,6 +473,8 @@ def _validate(args) -> str | None:
     if sub == "poset":
         if args.contains is not None and (args.reduce is not None or args.out is not None):
             return "--contains takes no --reduce or --out"
+        if args.contains is not None and args.cap is not None:
+            return "--contains takes no --cap"
         if args.reduce is not None and args.reduce < 1:
             return "--reduce must be at least 1"
         if args.out is not None and args.reduce is None:

@@ -37,9 +37,10 @@ values per coordinate the D + 1 prefixes take about w·D·n/16 bytes
 (35.8 MiB for the 15,625 vectors of the k = 5 inductive lift to width
 7), and at most twice that: a set is as long as its highest index; the
 table's four entries per value share those prefixes.  The relation is
-computed here only: `search` builds its compatibility graph and
-`posets` orders maximum antichains from the same table, and the package
-uses no numpy.
+computed here only: `search` builds its compatibility graph and its
+cross digraph and `posets` orders maximum antichains from the same
+table, `_bits` is the one walk over a bit set's members that both
+modules use, and the package uses no numpy.
 """
 
 from __future__ import annotations
@@ -236,6 +237,14 @@ class VerificationReport:
     def ok(self) -> bool:
         """Antichain and cross-free: the family verifies."""
         return self.is_antichain and self.is_cross_free
+
+
+def _bits(mask: int):
+    # Indices of the set bits of mask, ascending.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _relation_table(column: Sequence[int], k: int) -> dict[int, tuple[int, int, int, int]]:

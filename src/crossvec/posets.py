@@ -55,17 +55,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Family, ParseError, _read_text, _relation_table, _write_text, verify
+from .core import Family, ParseError, _bits, _read_text, _relation_table, _write_text, verify
 
 Label = str
-
-
-def _bits(mask: int):
-    # Indices of the set bits of mask, ascending.
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Poset:

@@ -20,10 +20,16 @@ the family so every coordinate minimum is 0 (both defining
 constraints depend only on differences), then run `compress` on each
 coordinate c in turn.  Its cross digraph has a short edge A -> B when
 A[c] - B[c] = 1 and B >= A elsewhere, and a long edge when
-B[c] - A[c] = ks[c] - 1 and A[i] - B[i] >= ks[i] for some i != c.  One
-compression step moves a set S down by one on c: a vector with no path
-to level 0 and all its successors.  So S is closed under successors,
-and every vector in it is at level >= 1.  Take a pair A in S, B not in
+B[c] - A[c] = ks[c] - 1 and A[i] - B[i] >= ks[i] for some i != c.  Both
+are read from `core._relation_table`: over the coordinates i != c,
+lower[A] ORs the sets "below A[i]" and far[A] the sets "at most
+A[i] - ks[i]", so A's successors are
+level[A[c] - 1] & ~lower[A] | level[A[c] + ks[c] - 1] & far[A], where
+level[x] holds the vectors at x on c.  A step moves vectors on c only,
+so lower and far are built once per call and each step regroups only
+the levels of c.  One compression step moves a set S down by one on c:
+a vector with no path to level 0 and all its successors.  So S is
+closed under successors, and every vector in it is at level >= 1.  Take a pair A in S, B not in
 S, and let A' = A - e_c.  Comparability: B <= A' would mean B <= A,
 and A' <= B without A <= B forces A[c] - B[c] = 1 and B >= A
 elsewhere, a short edge; this also rules out A' = B.  Crossing: A'
@@ -130,12 +136,11 @@ on every coordinate its values form an interval {0..t_i}.  Translation
 and compression only lower values, so the copy stays in B.  The clique
 engine is therefore given one cover per coordinate i and level l, the
 vertices at l on i, and vertex v requires the covers (i, 0..v[i]) on
-every i.  It
-records only gap-free cliques, and cuts a branch once a required level
-has no vertex left among the candidates, or once one coordinate has
-more required levels unmet than the colour bound allows (a vertex meets
-one level per coordinate; each coordinate's levels are one of the
-clique engine's classes).  This composes with the root restriction:
+every i.  It records only gap-free cliques, and cuts a branch once a
+required level has no vertex left among the candidates, or once one
+coordinate has more required levels unmet than the colour bound allows
+(a vertex meets one level per coordinate; each coordinate's levels are
+one of the clique engine's classes).  This composes with the root restriction:
 a gap-free family takes 0 on every coordinate, so its least member has
 first coordinate 0, and a permutation inside a class keeps a family
 gap-free and maps level covers to level covers, so the argument under
@@ -279,7 +284,7 @@ from dataclasses import dataclass, replace
 from .clique import max_clique, max_clique_parallel  # noqa: F401
 from .bounds import generalized_bounds
 from .constructions import generalized_product_family, product_family
-from .core import Family, Vector, _relation_table, threshold_seq, verify
+from .core import Family, Vector, _bits, _relation_table, threshold_seq, verify
 
 class BoxTooLargeError(RuntimeError):
     """The requested box exceeds the adjacency-memory budget."""
@@ -947,14 +952,10 @@ class CrossDigraph:
     long_edges: frozenset[tuple[Vector, Vector]]
 
     def successors(self) -> dict[Vector, set[Vector]]:
-        return _successors(self.family, self.short_edges | self.long_edges)
-
-
-def _successors(vectors, edges) -> dict[Vector, set[Vector]]:
-    succ: dict[Vector, set[Vector]] = {v: set() for v in vectors}
-    for a, b in edges:
-        succ[a].add(b)
-    return succ
+        succ: dict[Vector, set[Vector]] = {v: set() for v in self.family}
+        for a, b in self.short_edges | self.long_edges:
+            succ[a].add(b)
+        return succ
 
 
 def _check_digraph_input(family: Family, ks, coord: int):
@@ -971,22 +972,28 @@ def _check_digraph_input(family: Family, ks, coord: int):
     return seq, c
 
 
-def _digraph_edges(vectors, seq, c: int):
-    short = set()
-    long = set()
+def _off_coordinate_rows(vectors, seq, c: int) -> list[tuple[int, int]]:
+    # lower[A] and far[A] for each vector A (module docstring, "Box completeness").
+    columns = list(zip(*vectors))
+    others = [_relation_table(columns[i], seq[i]) for i in range(len(columns)) if i != c]
+    rows = []
     for a in vectors:
-        for b in vectors:
-            if a == b:
-                continue
-            if a[c] - b[c] == 1 and all(
-                a[i] <= b[i] for i in range(len(a)) if i != c
-            ):
-                short.add((a, b))
-            if b[c] - a[c] == seq[c] - 1 and any(
-                a[i] - b[i] >= seq[i] for i in range(len(a)) if i != c
-            ):
-                long.add((a, b))
-    return short, long
+        lower = far = 0
+        for table, x in zip(others, a[:c] + a[c + 1 :]):
+            lower, far = lower | table[x][0], far | table[x][2]
+        rows.append((lower, far))
+    return rows
+
+
+def _edge_rows(vectors, c: int, off, k: int) -> list[tuple[int, int]]:
+    # Each vector's short and long successors, from the levels of c.
+    level: dict[int, int] = {}
+    for j, v in enumerate(vectors):
+        level[v[c]] = level.get(v[c], 0) | 1 << j
+    return [
+        (level.get(v[c] - 1, 0) & ~lower, level.get(v[c] + k - 1, 0) & far)
+        for v, (lower, far) in zip(vectors, off)
+    ]
 
 
 def build_cross_digraph(family: Family, ks, coord: int) -> CrossDigraph:
@@ -996,23 +1003,11 @@ def build_cross_digraph(family: Family, ks, coord: int) -> CrossDigraph:
     verify for ks and be nonnegative on `coord` (1-based).
     """
     seq, c = _check_digraph_input(family, ks, coord)
-    short, long = _digraph_edges(family.vectors, seq, c)
-    return CrossDigraph(family, seq, coord, frozenset(short), frozenset(long))
-
-
-def _reaches_level0(vectors, succ, c) -> set:
-    reached = {v for v in vectors if v[c] == 0}
-    # Reverse closure: iterate until stable (families are small).
-    changed = True
-    while changed:
-        changed = False
-        for v in vectors:
-            if v in reached:
-                continue
-            if succ[v] & reached:
-                reached.add(v)
-                changed = True
-    return reached
+    vs = family.vectors
+    rows = _edge_rows(vs, c, _off_coordinate_rows(vs, seq, c), seq[c])
+    short = frozenset((a, vs[j]) for a, (row, _) in zip(vs, rows) for j in _bits(row))
+    long = frozenset((a, vs[j]) for a, (_, row) in zip(vs, rows) for j in _bits(row))
+    return CrossDigraph(family, seq, coord, short, long)
 
 
 def compress(family: Family, ks, coord: int) -> Family:
@@ -1029,32 +1024,35 @@ def compress(family: Family, ks, coord: int) -> Family:
     coordinate.
     """
     seq, c = _check_digraph_input(family, ks, coord)
-    if len(family) == 0:
-        return family
     vectors = list(family.vectors)
+    off = _off_coordinate_rows(vectors, seq, c)
+    everyone = (1 << len(vectors)) - 1
     while True:
-        short, long = _digraph_edges(vectors, seq, c)
-        succ = _successors(vectors, short | long)
-        reached = _reaches_level0(vectors, succ, c)
-        stuck = sorted(v for v in vectors if v not in reached)
+        succ = [short | long for short, long in _edge_rows(vectors, c, off, seq[c])]
+        floor = sum(1 << j for j, v in enumerate(vectors) if v[c] == 0)
+        # Reverse closure: pass over the rest until no vector joins.
+        reached, last = floor, None
+        while reached != last:
+            last = reached
+            for j in _bits(everyone & ~reached):
+                if succ[j] & reached:
+                    reached |= 1 << j
+        stuck = everyone & ~reached
         if not stuck:
             break
-        chosen = stuck[0]
-        moving = {chosen}
-        frontier = [chosen]
+        moving = frontier = 1 << min(_bits(stuck), key=vectors.__getitem__)
         while frontier:
-            nxt = []
-            for v in frontier:
-                for u in succ[v]:
-                    if u not in moving:
-                        moving.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        if any(v[c] < 1 for v in moving):
-            raise RuntimeError(f"compression would move {sorted(moving)} below 0")
-        vectors = [
-            v[:c] + (v[c] - 1,) + v[c + 1 :] if v in moving else v for v in vectors
-        ]
+            nxt = 0
+            for j in _bits(frontier):
+                nxt |= succ[j]
+            frontier = nxt & ~moving
+            moving |= frontier
+        if moving & floor:
+            moved = sorted(vectors[j] for j in _bits(moving))
+            raise RuntimeError(f"compression would move {moved} below 0")
+        for j in _bits(moving):
+            v = vectors[j]
+            vectors[j] = v[:c] + (v[c] - 1,) + v[c + 1 :]
         if len(set(vectors)) != len(vectors):
             raise RuntimeError(f"compression merged two vectors on coordinate {coord}")
     return Family(family.width, vectors)

@@ -3,9 +3,9 @@
 Everything here is deliberately naive: straight loops over pairs and
 subsets, no bit packing, no pruning beyond the obvious size cut.  The
 point is to hold a second, independent opinion on what the library
-computes.  The two `reference_*` functions are the earlier list-based
-forms of two bit-set kernels in `crossvec.posets`, kept so that tests
-can demand identical output from the rewrites.
+computes.  The `reference_*` functions are the earlier pairwise forms
+of bit-set kernels in `crossvec.posets` and `crossvec.search`, kept so
+that tests can demand identical output from the rewrites.
 """
 
 import itertools
@@ -295,6 +295,86 @@ def reference_contains_k_plus_k(p, k):
                     tuple(labels[j] for j in c2),
                 )
     return False, None
+
+
+def reference_digraph_edges(vectors, seq, c):
+    """Short and long edges of the cross digraph on 0-based coordinate c,
+    testing every ordered pair; the pairwise form of
+    `search.build_cross_digraph`, kept as its reference."""
+    short = set()
+    long = set()
+    for a in vectors:
+        for b in vectors:
+            if a == b:
+                continue
+            if a[c] - b[c] == 1 and all(
+                a[i] <= b[i] for i in range(len(a)) if i != c
+            ):
+                short.add((a, b))
+            if b[c] - a[c] == seq[c] - 1 and any(
+                a[i] - b[i] >= seq[i] for i in range(len(a)) if i != c
+            ):
+                long.add((a, b))
+    return short, long
+
+
+def reference_successors(vectors, edges):
+    """Every vector mapped to the set of its edge targets."""
+    succ = {v: set() for v in vectors}
+    for a, b in edges:
+        succ[a].add(b)
+    return succ
+
+
+def reference_reaches_level0(vectors, succ, c):
+    """The vectors with a path to level 0 on c, by repeated passes."""
+    reached = {v for v in vectors if v[c] == 0}
+    changed = True
+    while changed:
+        changed = False
+        for v in vectors:
+            if v in reached:
+                continue
+            if succ[v] & reached:
+                reached.add(v)
+                changed = True
+    return reached
+
+
+def reference_compress(family, ks, coord):
+    """`search.compress` rebuilding every edge pairwise at each step; its
+    reference.  Takes a family that `compress` accepts."""
+    seq = threshold_seq(ks, family.width)
+    c = coord - 1
+    if len(family) == 0:
+        return family
+    vectors = list(family.vectors)
+    while True:
+        short, long = reference_digraph_edges(vectors, seq, c)
+        succ = reference_successors(vectors, short | long)
+        reached = reference_reaches_level0(vectors, succ, c)
+        stuck = sorted(v for v in vectors if v not in reached)
+        if not stuck:
+            break
+        chosen = stuck[0]
+        moving = {chosen}
+        frontier = [chosen]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in succ[v]:
+                    if u not in moving:
+                        moving.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        if any(v[c] < 1 for v in moving):
+            raise RuntimeError(f"compression would move {sorted(moving)} below 0")
+        vectors = [
+            v[:c] + (v[c] - 1,) + v[c + 1 :] if v in moving else v for v in vectors
+        ]
+        if len(set(vectors)) != len(vectors):
+            raise RuntimeError(f"compression merged two vectors on coordinate {coord}")
+    return Family(family.width, vectors)
 
 
 def suite_families():

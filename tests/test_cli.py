@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from crossvec import Family, family_from_text, verify
+from crossvec import Family, family_from_text, inductive_lift, save_family, verify
 from crossvec.cli import main
 
 from helpers import brute_max_family
@@ -110,6 +110,37 @@ class TestConstructVerifyPipeline:
             main(list(argv))
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,unread",
+        [
+            (
+                ("--kind", "product", "--k", "2", "--w", "2", "--shift", "5",
+                 "--with-fixup", "--coord-seq", "1"),
+                "--coord-seq, --with-fixup, --shift",
+            ),
+            (("--kind", "product", "--k", "2", "--w", "2", "--ks", "2,2"), "--ks"),
+            (("--kind", "lex", "--k", "2", "--w", "2", "--target-rank", "3"), "--target-rank"),
+            (("--kind", "cyclic", "--k", "4", "--target-rank", "7", "--w", "3"), "--w"),
+            (("--kind", "lift", "--k", "2", "--input", "base.txt", "--shift", "2",
+              "--w", "3"), "--w"),
+            (("--kind", "weak", "--k", "3", "--coord-seq", "1"), "--coord-seq"),
+            (("--kind", "nonranked", "--k", "0"), "--k"),
+            (("--kind", "nonranked", "--with-fixup"), "--with-fixup"),
+            (("--kind", "genproduct", "--ks", "2,3", "--k", "2"), "--k"),
+            (("--kind", "genproduct", "--ks", "2,3", "--w", "2", "--input", "base.txt"), "--input"),
+        ],
+    )
+    def test_construct_refuses_flags_its_kind_does_not_read(
+        self, capsys, tmp_path, monkeypatch, argv, unread
+    ):
+        # Each kind reads only its own flags (and --out); any other given
+        # flag is refused before the family file is written.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "construct", *argv, "--out", "fam.txt")
+        kind = argv[1]
+        assert (code, out, err) == (2, "", f"error: --kind {kind} takes no {unread}\n")
+        assert not (tmp_path / "fam.txt").exists()
 
     def test_fixup_for_wrong_residue_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -349,11 +380,7 @@ class TestSearchCommand:
 class TestReadmeExamples:
     README = Path(__file__).resolve().parents[1] / "README.md"
 
-    @pytest.mark.parametrize(
-        "command",
-        ("crossvec search --k 2 --w 3 --deterministic", "crossvec bound --k 3 --w 4"),
-    )
-    def test_shown_output_lines(self, capsys, command):
+    def check_shown(self, capsys, command):
         # The README shows the first lines of each output, then "...".
         block = self.README.read_text().split(f"$ {command}\n", 1)[1]
         lines = block.split("```", 1)[0].splitlines()
@@ -361,6 +388,25 @@ class TestReadmeExamples:
         code, out, _ = run_cli(capsys, *command.split()[1:])
         assert code == 0
         assert shown and out.splitlines()[: len(shown)] == shown
+
+    @pytest.mark.parametrize(
+        "command",
+        ("crossvec search --k 2 --w 3 --deterministic", "crossvec bound --k 3 --w 4"),
+    )
+    def test_shown_output_lines(self, capsys, command):
+        self.check_shown(capsys, command)
+
+    def test_compress_example(self, capsys, tmp_path, monkeypatch):
+        # lift35.txt: the inductive lift from {(0,)} to width 5 at k = 3,
+        # each stage translated so that every coordinate minimum is 0.
+        f = Family(1, [(0,)])
+        for _ in range(4):
+            c = max(max(v) for v in f) + 1
+            f = inductive_lift(f, 3, c)
+            f = f.translate([-min(v[i] for v in f) for i in range(f.width)])
+        monkeypatch.chdir(tmp_path)
+        save_family(f, "lift35.txt")
+        self.check_shown(capsys, "crossvec compress --input lift35.txt --k 3 --coord 1")
 
 
 class TestBoundCommand:
@@ -418,6 +464,12 @@ class TestBoundCommand:
     def test_requires_w(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--k", "2")
         assert code == 2
+
+    def test_thresholds_take_no_trust_flag(self, capsys):
+        # --no-trust-exact steers only the uniform-k recursion; beside
+        # --ks it would be ignored, so it is refused before any output.
+        code, out, err = run_cli(capsys, "bound", "--ks", "2,2,2,2", "--no-trust-exact")
+        assert (code, out, err) == (2, "", "error: --ks takes no --no-trust-exact\n")
 
 
 class TestPosetCommand:
@@ -493,6 +545,8 @@ class TestPosetCommand:
             (("--contains", "2", "--reduce", "1"), "--contains takes no --reduce or --out"),
             (("--contains", "2", "--out", "fam.txt"), "--contains takes no --reduce or --out"),
             (("--out", "fam.txt"), "--out requires --reduce"),
+            (("--contains", "2", "--cap", "0"), "--contains takes no --cap"),
+            (("--contains", "2", "--cap", "5"), "--contains takes no --cap"),
         ],
     )
     def test_flag_conflicts_refused_before_output(self, capsys, tmp_path, monkeypatch, flags, message):

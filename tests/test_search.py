@@ -19,6 +19,7 @@ from crossvec import (
     compression_box,
     exists_family,
     generalized_bounds,
+    inductive_lift,
     max_family_in_box,
     max_family_size,
     normalize,
@@ -27,6 +28,7 @@ from crossvec import (
     verify,
 )
 from crossvec.clique import max_clique
+from crossvec.core import threshold_seq
 
 import crossvec.search as search_mod
 
@@ -35,6 +37,9 @@ from helpers import (
     brute_max_family,
     pair_relation,
     random_verified_family,
+    reference_compress,
+    reference_digraph_edges,
+    reference_successors,
     relation_table,
 )
 
@@ -1003,3 +1008,78 @@ class TestCompress:
             n = len(g)
             assert verify(g, k).ok
             assert all(0 <= v[i] <= n - 1 for v in g for i in range(3))
+
+
+def _at_zero(f):
+    # Translate so that every coordinate minimum is 0.
+    return f.translate([-min(v[i] for v in f) for i in range(f.width)]) if len(f) else f
+
+
+class TestCrossDigraphMatchesPairwiseReference:
+    """The edges, successors and compression read from the relation
+    tables agree with testing every pair of vectors at every step."""
+
+    @staticmethod
+    def check(f, ks):
+        # Returns (coordinates that compress moved, long edges inside one level).
+        seq = threshold_seq(ks, f.width)
+        moved = flat = 0
+        for coord in range(1, f.width + 1):
+            d = build_cross_digraph(f, ks, coord)
+            short, long = reference_digraph_edges(f.vectors, seq, coord - 1)
+            assert (d.short_edges, d.long_edges) == (short, long), (f, ks, coord)
+            assert d.successors() == reference_successors(f.vectors, short | long)
+            got = compress(f, ks, coord)
+            want = reference_compress(f, ks, coord)
+            assert (got.width, got.vectors) == (want.width, want.vectors), (f, ks, coord)
+            moved += got != f
+            flat += sum(a[coord - 1] == b[coord - 1] for a, b in long)
+        return moved, flat
+
+    def test_random_families(self):
+        rng = random.Random(2627)
+        moved = flat = 0
+        for _ in range(1000):
+            w = rng.randrange(1, 5)
+            if rng.random() < 0.5:
+                ks = rng.randrange(1, 4)
+            else:
+                ks = tuple(rng.randrange(1, 5) for _ in range(w))
+            f = random_verified_family(rng, ks, w, rng.randrange(1, 9), rng.randrange(1, 10))
+            m, l = self.check(_at_zero(f), ks)
+            moved += m
+            flat += l
+        # The corpus exercises moving compressions and same-level long edges.
+        assert moved > 500 and flat > 20, (moved, flat)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_inductive_lift_chains(self, k):
+        f = Family(1, [(0,)])
+        for w in range(2, 5):
+            c = max(max(v) for v in f) + 1
+            f = _at_zero(inductive_lift(f, k, c))
+            self.check(f, k)
+        assert len(f) == k**3
+
+    def test_empty_family(self):
+        for w in (1, 2, 3):
+            f = Family(w, [])
+            assert self.check(f, 2) == (0, 0)
+            assert all(build_cross_digraph(f, 2, c).successors() == {} for c in range(1, w + 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_width_one(self, k):
+        # Two points of Z^1 are comparable, so a family holds at most one.
+        f = Family(1, [(3,)])
+        assert self.check(f, k) == (1, 0)
+        assert compress(f, k, 1).vectors == ((0,),)
+
+    def test_threshold_one_long_edge_inside_a_level(self):
+        # ks[1] = 1: a long edge climbs 0 levels, joining two vectors on
+        # one level when A beats B by ks[i] on another coordinate.
+        f = Family(3, [(2, 3, 0), (2, 0, 2), (0, 1, 1)])
+        ks = (1, 3, 3)
+        d = build_cross_digraph(f, ks, 1)
+        assert (d.short_edges, d.long_edges) == (frozenset(), frozenset({((2, 3, 0), (2, 0, 2))}))
+        assert self.check(f, ks) == (3, 1)
+        assert compress(f, ks, 1).vectors == ((0, 0, 2), (0, 1, 1), (0, 3, 0))

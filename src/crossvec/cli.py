@@ -11,10 +11,13 @@ query came back negative; 2 usage errors or malformed input files;
 
 `search --box` certifies globally (`exhaustive yes`) whenever the box
 contains [0, best]^w, as the default compression box does.  `verify`,
-`search`, `bound` and `construct --kind genproduct` take `--ks`, positive
-thresholds in any order, and a `--w` beside it must equal their number;
-`compress` and `poset` take none.  Each of these is refused before any
-output: a `construct` flag that its `--kind` does not read (`--out`
+`search`, `bound`, `compress` and `construct --kind genproduct` take
+`--ks`, positive thresholds in any order, and a `--w` beside it must
+equal their number; `compress` reads the width from its family file
+instead.  `poset` takes none.  Each of these is refused before any
+output: both or neither of `--k` and `--ks` in `verify`, `search`,
+`bound` or `compress`, a `compress --ks` whose width is not the
+family's, a `construct` flag that its `--kind` does not read (`--out`
 goes with every kind), `--no-trust-exact` beside `bound --ks`,
 `--reduce`, `--out` or `--cap` beside `poset --contains`, a `--reduce`
 below 1, and an `--out` without `--reduce`.
@@ -27,6 +30,18 @@ and worker counts, unless `--time-limit` cuts the run: where a time
 limit stops the search depends on the machine, so the node count and
 the witness can then differ between runs.  No other subcommand takes
 `--deterministic`: their output has no timing lines and no workers.
+
+Parser.  `_SUBCOMMANDS` holds, per subcommand, its name, its help line
+and the function that adds its arguments.  When the first argument
+names a subcommand, `main` builds the parser with that one subparser:
+building all six costs about as much as the rest of a small call such
+as `search --k 2 --w 3`, which matters to callers that run `main` many
+times in one process.  Help, usage errors and records are the same as
+from the full parser, since the one subparser is built by the same
+function and the top-level usage line still names all six.
+With no arguments, a first argument that is an option such as
+`--help`, or an unknown name, `main` builds all six, so the top-level
+help and errors list every subcommand.
 """
 
 from __future__ import annotations
@@ -89,10 +104,7 @@ def _emit(pairs, fmt: str) -> None:
 
 
 def _thresholds(args):
-    ks = getattr(args, "ks", None)
-    if ks is not None:
-        return ks
-    return args.k
+    return args.k if args.ks is None else args.ks
 
 
 def _limits(args) -> SearchLimits:
@@ -210,7 +222,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if getattr(args, "ks", None) is not None:
+    if args.ks is not None:
         report = bounds_mod.generalized_bounds(args.ks)
     else:
         report = bounds_mod.best_upper_bound(
@@ -277,7 +289,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_compress(args) -> int:
     fam = load_family(args.input)
-    out = compress(fam, args.k, args.coord)
+    out = compress(fam, _thresholds(args), args.coord)
     c = args.coord - 1
     pairs = [
         ("size", len(out)),
@@ -312,15 +324,7 @@ def _add_format(sub) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crossvec",
-        description="Antichains of integer vectors without k-crossing pairs: "
-        "construct, verify, bound, search, and reduce posets.",
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("construct", help="emit a known family in text format")
+def _add_construct(p) -> None:
     p.add_argument(
         "--kind", required=True,
         choices=("product", "lex", "cyclic", "lift", "nonranked", "weak", "genproduct"),
@@ -341,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, help="lift kind: translation step")
     p.add_argument("--out", help="output file (default stdout)")
 
-    p = subs.add_parser("verify", help="check a family file")
+
+def _add_verify(p) -> None:
     p.add_argument("--input", required=True, help="family file, or - for stdin")
     p.add_argument("--k", type=int)
     p.add_argument("--ks", type=_parse_int_list, metavar="K1,K2,...")
     p.add_argument("--violation-cap", type=int, default=100)
     _add_format(p)
 
-    p = subs.add_parser("search", help="exact search for maximum families")
+
+def _add_search(p) -> None:
     p.add_argument("--k", type=int)
     p.add_argument("--ks", type=_parse_int_list, metavar="K1,K2,...")
     p.add_argument("--w", type=int, required=True)
@@ -374,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
 
-    p = subs.add_parser("bound", help="lower/upper bound table")
+
+def _add_bound(p) -> None:
     p.add_argument("--k", type=int)
     p.add_argument("--w", type=int)
     p.add_argument("--ks", type=_parse_int_list, metavar="K1,K2,...")
@@ -384,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
 
-    p = subs.add_parser("poset", help="width, maximum-antichain lattice, reduction")
+
+def _add_poset(p) -> None:
     p.add_argument("--input", required=True, help="poset file, or - for stdin")
     p.add_argument("--cap", type=int)  # None: max_antichains' own default
     p.add_argument(
@@ -398,13 +406,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file for the reduced family")
     _add_format(p)
 
-    p = subs.add_parser("compress", help="fixpoint-compress one coordinate")
+
+def _add_compress(p) -> None:
     p.add_argument("--input", required=True, help="family file, or - for stdin")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int)
+    p.add_argument("--ks", type=_parse_int_list, metavar="K1,K2,...")
     p.add_argument("--coord", type=int, required=True, help="1-based coordinate")
     p.add_argument("--out", help="output file (default stdout)")
     _add_format(p)
 
+
+# One entry per subcommand, in help order: name, help line, and the
+# function that adds its arguments.
+_SUBCOMMANDS = (
+    ("construct", "emit a known family in text format", _add_construct),
+    ("verify", "check a family file", _add_verify),
+    ("search", "exact search for maximum families", _add_search),
+    ("bound", "lower/upper bound table", _add_bound),
+    ("poset", "width, maximum-antichain lattice, reduction", _add_poset),
+    ("compress", "fixpoint-compress one coordinate", _add_compress),
+)
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only `subcommand`'s subparser, or with all six
+    when it is None (module docstring, "Parser")."""
+    parser = argparse.ArgumentParser(
+        prog="crossvec",
+        description="Antichains of integer vectors without k-crossing pairs: "
+        "construct, verify, bound, search, and reduce posets.",
+    )
+    # With one subparser, the metavar keeps all six names in the usage
+    # line that a top-level error (an unrecognized argument) prints.
+    metavar = None
+    if subcommand is not None:
+        metavar = "{" + ",".join(name for name, _, _ in _SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        if subcommand in (None, name):
+            add_arguments(subs.add_parser(name, help=help_line))
     return parser
 
 
@@ -424,7 +464,7 @@ _KIND_FLAGS = {
 def _validate(args) -> str | None:
     sub = args.subcommand
     ks = getattr(args, "ks", None)
-    if sub in ("verify", "search", "bound"):
+    if sub in ("verify", "search", "bound", "compress"):
         if (args.k is not None) == (ks is not None):
             return "exactly one of --k or --ks is required"
     # --ks sets the width, so a --w beside it must agree.
@@ -483,8 +523,9 @@ def _validate(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[0] if argv and argv[0] in _HANDLERS else None
+    args = build_parser(named).parse_args(argv)
     problem = _validate(args)
     if problem is not None:
         sys.stderr.write(f"error: {problem}\n")

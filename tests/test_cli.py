@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crossvec import Family, family_from_text, inductive_lift, save_family, verify
-from crossvec.cli import main
+from crossvec.cli import _HANDLERS, _SUBCOMMANDS, build_parser, main
 
 from helpers import brute_max_family
 
@@ -596,3 +596,117 @@ class TestCompressCommand:
             capsys, "compress", "--input", "no/such/file", "--k", "2", "--coord", "1"
         )
         assert code == 2
+
+    # Verifies for ks = (1,3,1), and the uniform k = 3 compresses it to a
+    # family that does not.
+    MIXED = "w 3\n0 2 0\n9 1 0\n11 0 1\n"
+
+    def test_per_coordinate_thresholds(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text(self.MIXED)
+        code, out, err = run_cli(
+            capsys, "compress", "--input", str(path), "--ks", "1,3,1", "--coord", "1"
+        )
+        assert (code, err) == (0, "")
+        fam = family_from_text(out[out.index("w 3") :])
+        assert fam == Family(3, [(0, 2, 0), (1, 0, 1), (1, 1, 0)])
+        assert verify(fam, (1, 3, 1)).ok
+
+    def test_uniform_threshold_output_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text(self.MIXED)
+        code, out, _ = run_cli(
+            capsys, "compress", "--input", str(path), "--k", "3", "--coord", "1"
+        )
+        assert code == 0
+        fam = family_from_text(out[out.index("w 3") :])
+        assert fam == Family(3, [(0, 0, 1), (0, 2, 0), (1, 1, 0)])
+        assert not verify(fam, (1, 3, 1)).ok
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--k", "3", "--ks", "1,3,1"), "exactly one of --k or --ks is required"),
+            ((), "exactly one of --k or --ks is required"),
+            (("--ks", "1,3"), "thresholds have width 2, expected 3"),
+            (("--ks", "1,3,1,1"), "thresholds have width 4, expected 3"),
+        ],
+    )
+    def test_threshold_flags_refused_before_output(self, capsys, tmp_path, monkeypatch, flags, message):
+        path = tmp_path / "f.txt"
+        path.write_text(self.MIXED)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "compress", "--input", str(path), "--coord", "1", "--out", "g.txt", *flags
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "g.txt").exists()
+
+
+# The least arguments each subcommand's parser accepts, so that one more
+# flag is an unrecognized argument rather than a missing one.
+PARSER_MINIMUM = {
+    "construct": ("--kind", "product"),
+    "verify": ("--input", "f.txt"),
+    "search": ("--w", "3"),
+    "bound": (),
+    "poset": ("--input", "p.txt"),
+    "compress": ("--input", "f.txt", "--coord", "1"),
+}
+NAMES = [name for name, _, _ in _SUBCOMMANDS]
+
+
+def parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserSplit:
+    def test_table_names_every_handler(self):
+        assert NAMES == list(_HANDLERS) == list(PARSER_MINIMUM)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_subparser_prints_the_full_trees_help(self, capsys, name):
+        one = parse_exit(capsys, build_parser(name), [name, "--help"])
+        full = parse_exit(capsys, build_parser(), [name, "--help"])
+        assert one == full
+        assert one[0] == 0 and f"usage: crossvec {name} " in one[1]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_unknown_flag_refused_as_by_the_full_tree(self, capsys, name):
+        argv = [name, *PARSER_MINIMUM[name], "--no-such-flag"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        through_main = (exc.value.code, *capsys.readouterr())
+        assert through_main == parse_exit(capsys, build_parser(), argv)
+        assert through_main[0] == 2
+        assert "unrecognized arguments: --no-such-flag" in through_main[2]
+        assert "{" + ",".join(NAMES) + "}" in through_main[2]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_missing_required_value_refused_as_by_the_full_tree(self, capsys, name):
+        argv = [name, "--format" if name != "construct" else "--kind"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        through_main = (exc.value.code, *capsys.readouterr())
+        assert through_main == parse_exit(capsys, build_parser(), argv)
+        assert through_main[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,code,stream",
+        [([], 2, "err"), (["--help"], 0, "out"), (["bogus"], 2, "err")],
+    )
+    def test_top_level_names_every_subcommand(self, capsys, argv, code, stream):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == code
+        text = captured.out if stream == "out" else captured.err
+        assert "{" + ",".join(NAMES) + "}" in text
+        if argv == ["--help"]:
+            for name, help_line, _ in _SUBCOMMANDS:
+                assert re.search(rf"^    {name} +{re.escape(help_line)}$", text, re.M)
+        if argv == ["bogus"]:
+            assert "invalid choice: 'bogus'" in text

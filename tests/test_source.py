@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import crossvec
 
 SOURCES = sorted(Path(crossvec.__file__).parent.glob("*.py"))
@@ -111,6 +113,36 @@ def test_serial_search_does_not_load_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_builds_only_the_subparser_it_runs(monkeypatch, capsys):
+    # main builds one subparser when argv names it, and all six for the
+    # top-level help; a later edit cannot bring back the full build
+    # unnoticed.
+    from crossvec import cli
+
+    built = []
+
+    def recorded(name, add_arguments):
+        def add(parser):
+            built.append(name)
+            add_arguments(parser)
+
+        return add
+
+    monkeypatch.setattr(
+        cli,
+        "_SUBCOMMANDS",
+        tuple((name, line, recorded(name, add)) for name, line, add in cli._SUBCOMMANDS),
+    )
+    assert cli.main(["bound", "--k", "2", "--w", "3"]) == 0
+    assert built == ["bound"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert built == [name for name, _, _ in cli._SUBCOMMANDS]
+    assert len(built) == 6
 
 
 def test_public_names_resolve_and_are_sorted():
